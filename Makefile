@@ -1,14 +1,15 @@
 # Developer entry points. `make check` is the tier-1 gate: formatting,
-# vet, the full test suite, and a race-detector pass over every package
-# with concurrency: the telemetry layer's lock-free fast paths, the
-# parallel multicomputer scheduler's determinism tests, the experiment
-# worker pool, and the fault-injection campaign pool.
+# vet, the full test suite, the benchmark module's golden-digest tests,
+# and a race-detector pass over every package with concurrency: the
+# telemetry layer's lock-free fast paths, the parallel multicomputer
+# scheduler's determinism tests, the experiment worker pool, and the
+# fault-injection campaign pool.
 
 GO ?= go
 
-.PHONY: check fmt vet test race build bench bench-all bench-json bench-persist bench-migrate audit fuzz-short lint verify obsv jit flow persist migrate
+.PHONY: check fmt vet test bench-test race build bench bench-all bench-json bench-persist bench-migrate audit fuzz-short lint verify obsv jit flow persist migrate
 
-check: fmt vet lint test race
+check: fmt vet lint test bench-test race
 
 build:
 	$(GO) build ./...
@@ -42,6 +43,13 @@ verify:
 
 test:
 	$(GO) test ./...
+
+# The benchmark module (bench/, its own go.mod, so `go test ./...` at
+# the root skips it): checks the seed-1 golden digests of all five
+# mmbench workloads and interpreter/translator digest agreement, so a
+# change that alters the default machine's results fails here (~8s).
+bench-test:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/telemetry/

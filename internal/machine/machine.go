@@ -132,6 +132,7 @@ type FaultHandler func(m *Machine, t *Thread, err error) bool
 
 type clusterState struct {
 	slots      []*Thread
+	resident   int // non-nil entries of slots; AddThread/RemoveThread keep it
 	rr         int
 	lastThread *Thread
 	stallUntil uint64
@@ -470,6 +471,7 @@ func (m *Machine) AddThread(domain int) (*Thread, error) {
 					slot:    si,
 				}
 				cl.slots[si] = t
+				cl.resident++
 				m.threads = append(m.threads, t)
 				return t, nil
 			}
@@ -489,6 +491,7 @@ func (m *Machine) RemoveThread(t *Thread) error {
 		return fmt.Errorf("machine: thread %d not resident", t.ID)
 	}
 	cl.slots[t.slot] = nil
+	cl.resident--
 	if cl.lastThread == t {
 		cl.lastThread = nil
 	}
@@ -528,38 +531,86 @@ func (m *Machine) Step() {
 }
 
 // Run steps until every thread is done or maxCycles elapse; it returns
-// the number of cycles executed. The background memory scrubber (if
-// configured) ticks here rather than in Step so the common
-// scrubber-off path adds nothing to the per-cycle hot loop; external
-// steppers that drive Step directly (the multicomputer barrier loop)
-// bring their own recovery machinery instead.
+// the number of cycles executed.
+//
+// Spans in which no thread can issue are not stepped: Run jumps to the
+// first cycle at which one could (nextIssueCycle) and credits the
+// skipped cycles exactly as the Steps would have (skipTo), so stats,
+// cycle counts and architectural state match a plain Step loop bit for
+// bit. The jump stops at the cap and at every scrub tick.
+//
+// The background memory scrubber (if configured) ticks here rather
+// than in Step. Callers that drive Step directly act between cycles —
+// the multicomputer barrier loop services remote accesses (and brings
+// its own recovery machinery), kernel.RunScheduled reaps and spawns
+// threads, the Debugger checks breakpoints — so they neither scrub nor
+// fast-forward.
 func (m *Machine) Run(maxCycles uint64) uint64 {
-	if m.scrubEvery != 0 {
-		return m.runScrubbed(maxCycles)
-	}
 	start := m.cycle
 	if limit := start + maxCycles; limit > start {
 		m.runLimit = limit
 		defer func() { m.runLimit = 0 }()
 	}
 	for !m.Done() && m.cycle-start < maxCycles {
-		m.Step()
-	}
-	return m.cycle - start
-}
-
-// runScrubbed is Run with the background scrubber armed: every
-// scrubEvery cycles, sweep the next scrubWords words of physical
-// memory, correcting single-bit decay before anything consumes it.
-func (m *Machine) runScrubbed(maxCycles uint64) uint64 {
-	start := m.cycle
-	for !m.Done() && m.cycle-start < maxCycles {
-		m.Step()
-		if m.cycle%m.scrubEvery == 0 {
+		if next := m.nextIssueCycle(); next-m.cycle > 1 {
+			if next-start > maxCycles {
+				next = start + maxCycles
+			}
+			if m.scrubEvery != 0 {
+				if tick := m.cycle - m.cycle%m.scrubEvery + m.scrubEvery; tick < next {
+					next = tick
+				}
+			}
+			m.skipTo(next)
+		} else {
+			m.Step()
+		}
+		if m.scrubEvery != 0 && m.cycle%m.scrubEvery == 0 {
 			m.Space.Phys.ScrubStep(m.scrubWords)
 		}
 	}
 	return m.cycle - start
+}
+
+// nextIssueCycle returns the first cycle at which some live thread
+// could issue: the current cycle if one is ready (or its wait has
+// elapsed), else the earliest blockedUntil. It reads thread state
+// afresh on every call — the kernel writes Thread.State directly, so a
+// cached answer could go stale.
+func (m *Machine) nextIssueCycle() uint64 {
+	next := ^uint64(0)
+	for _, t := range m.threads {
+		if t.Done() {
+			continue
+		}
+		if t.State != Blocked || t.blockedUntil <= m.cycle {
+			return m.cycle
+		}
+		if t.blockedUntil < next {
+			next = t.blockedUntil
+		}
+	}
+	return next
+}
+
+// skipTo advances the machine to cycle end without stepping. Every
+// thread is blocked until at least end, so each skipped Step would
+// have found no thread to issue: it credits Cycles, and per cluster
+// StallCycles for the overlap with its stall window and IdleCycles
+// for the rest. now is left as the last skipped Step would leave it.
+func (m *Machine) skipTo(end uint64) {
+	n := end - m.cycle
+	for _, cl := range m.clusters {
+		var stall uint64
+		if cl.stallUntil > m.cycle {
+			stall = min(cl.stallUntil, end) - m.cycle
+		}
+		m.stats.StallCycles += stall
+		m.stats.IdleCycles += n - stall
+	}
+	m.stats.Cycles += n
+	m.cycle = end
+	m.now = end - 1
 }
 
 func (m *Machine) stepCluster(cl *clusterState) {
@@ -655,9 +706,16 @@ func (m *Machine) pickThread(cl *clusterState) *Thread {
 			}
 		}
 	}
+	if cl.resident == 0 {
+		return nil
+	}
 	n := len(cl.slots)
-	for i := 1; i <= n; i++ {
-		t := cl.slots[(cl.rr+i)%n]
+	i := cl.rr
+	for range n {
+		if i++; i == n {
+			i = 0
+		}
+		t := cl.slots[i]
 		if t == nil || t.Done() {
 			continue
 		}
@@ -667,7 +725,7 @@ func (m *Machine) pickThread(cl *clusterState) *Thread {
 			}
 			t.State = Ready
 		}
-		cl.rr = (cl.rr + i) % n
+		cl.rr = i
 		return t
 	}
 	return nil

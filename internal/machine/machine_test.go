@@ -21,7 +21,7 @@ func testConfig() Config {
 
 // loadAt assembles src into the machine at base and returns an execute
 // pointer (user or privileged) for it.
-func loadAt(t *testing.T, m *Machine, src string, base uint64, priv bool) core.Pointer {
+func loadAt(t testing.TB, m *Machine, src string, base uint64, priv bool) core.Pointer {
 	t.Helper()
 	p := mustAssemble(src)
 	if err := m.Space.EnsureMapped(base, p.ByteSize()); err != nil {
@@ -45,7 +45,7 @@ func loadAt(t *testing.T, m *Machine, src string, base uint64, priv bool) core.P
 
 // dataSeg maps a 2^logLen segment at base and returns a read/write
 // pointer to it.
-func dataSeg(t *testing.T, m *Machine, base uint64, logLen uint) core.Pointer {
+func dataSeg(t testing.TB, m *Machine, base uint64, logLen uint) core.Pointer {
 	t.Helper()
 	if err := m.Space.EnsureMapped(base, 1<<logLen); err != nil {
 		t.Fatal(err)
