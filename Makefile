@@ -60,13 +60,15 @@ race:
 	$(GO) test -race -run 'TestJITMatchesInterpreterAcrossSchedulers' ./internal/multi/
 
 # Compiled-tier differential gate (docs/PERFORMANCE.md): the E27
-# interp-vs-translator census, the root determinism corpus, the SMC and
-# stats invariants in internal/machine, scheduler invariance on the
-# mesh, the verifier's per-site table contract, and the mmsim CLI
-# byte-identity / -verify refusal tests.
+# interp-vs-translator census, the root determinism corpus, the
+# translator's own unit tests, the op-by-op proven-vs-checked dispatch
+# property and the SMC and stats invariants in internal/machine,
+# scheduler invariance on the mesh, the verifier's per-site table
+# contract, and the mmsim CLI byte-identity / -verify refusal tests.
 jit:
 	$(GO) run ./cmd/experiments -run E27
 	$(GO) test -run 'TestJITDifferentialCorpus' .
+	$(GO) test ./internal/jit/
 	$(GO) test -run 'TestJIT' ./internal/machine/ ./internal/multi/ ./cmd/mmsim/
 	$(GO) test -run 'TestSite' ./internal/capverify/
 

@@ -34,32 +34,6 @@ type e27Outcome struct {
 	counters jit.Counters
 }
 
-// e27Fingerprint is faultinject's architectural FNV-1a fingerprint over
-// the final thread states: ID, run state, instret, IP and the full
-// register file with tag bits.
-func e27Fingerprint(threads []*machine.Thread) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	for _, t := range threads {
-		mix(uint64(t.ID))
-		mix(uint64(t.State))
-		mix(t.Instret)
-		mix(t.IP.Addr())
-		for _, r := range t.Regs {
-			mix(r.Bits)
-			if r.Tag {
-				mix(1)
-			} else {
-				mix(0)
-			}
-		}
-	}
-	return h
-}
-
 // e27Run boots the standard mmsim harness — one user thread, a 4 KB
 // scratch segment in r1 — and runs prog to completion, optionally under
 // the translator. Registration happens after Spawn, matching the
@@ -91,7 +65,7 @@ func e27Run(prog *asm.Program, useJIT bool) (e27Outcome, error) {
 	}
 	k.Run(5_000_000)
 	out = e27Outcome{
-		fp:    e27Fingerprint(k.M.Threads()),
+		fp:    machine.FingerprintThreads(k.M.Threads()),
 		stats: k.M.Stats(),
 		cache: k.M.Cache.Stats(),
 		tlb:   k.M.Space.TLB.Stats(),

@@ -132,7 +132,7 @@ func e28Chain() ([]e28ChainRow, bool, error) {
 	if thRef.State != machine.Halted {
 		return nil, false, fmt.Errorf("e28: reference run %v %v", thRef.State, thRef.Fault)
 	}
-	refFP := e27Fingerprint(kRef.M.Threads())
+	refFP := machine.FingerprintThreads(kRef.M.Threads())
 
 	dir, err := os.MkdirTemp("", "mme28-chain-")
 	if err != nil {
@@ -187,7 +187,7 @@ func e28Chain() ([]e28ChainRow, bool, error) {
 			return nil, false, err
 		}
 		k2.Run(1_000_000)
-		match := k2.M.Done() && e27Fingerprint(k2.M.Threads()) == refFP
+		match := k2.M.Done() && machine.FingerprintThreads(k2.M.Threads()) == refFP
 		all = all && match
 		kind := "base"
 		if d.Delta {

@@ -163,7 +163,7 @@ func e29Outcome(s *multi.System) (uint64, error) {
 		}
 		all = append(all, s.Nodes[id].K.M.Threads()...)
 	}
-	return e27Fingerprint(all), nil
+	return machine.FingerprintThreads(all), nil
 }
 
 func e29Diff() ([]e29DiffRow, bool, *migrate.Report, error) {

@@ -118,7 +118,7 @@ func runLocalTrial(w *workload, class Class, seed uint64) (res trialResult) {
 	if inj.Armed() {
 		return trialResult{outcome: Detected, detail: "scrub-reg"}
 	}
-	if fingerprintThreads(k.M.Threads()) == w.clean.fp {
+	if machine.FingerprintThreads(k.M.Threads()) == w.clean.fp {
 		return trialResult{outcome: Masked, detail: detail}
 	}
 	return trialResult{outcome: Escaped, detail: "silent-divergence"}

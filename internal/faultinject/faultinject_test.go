@@ -132,12 +132,12 @@ func TestWorkloadsPrepare(t *testing.T) {
 func TestFingerprintSensitivity(t *testing.T) {
 	a := []*machine.Thread{{ID: 1, Instret: 10}}
 	b := []*machine.Thread{{ID: 1, Instret: 11}}
-	if fingerprintThreads(a) == fingerprintThreads(b) {
+	if machine.FingerprintThreads(a) == machine.FingerprintThreads(b) {
 		t.Fatal("fingerprint must see instret")
 	}
 	c := []*machine.Thread{{ID: 1, Instret: 10}}
 	c[0].Regs[3] = word.FromUint(9)
-	if fingerprintThreads(a) == fingerprintThreads(c) {
+	if machine.FingerprintThreads(a) == machine.FingerprintThreads(c) {
 		t.Fatal("fingerprint must see register contents")
 	}
 }

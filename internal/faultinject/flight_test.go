@@ -3,6 +3,8 @@ package faultinject
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 // TestEscapedMeshTrialCapturesFlight: a mesh trial the audit cannot
@@ -38,7 +40,7 @@ func TestMaskedMeshTrialCarriesNoFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(1_000_000)
-	clean := &meshClean{fp: fingerprintThreads(meshThreads(s))}
+	clean := &meshClean{fp: machine.FingerprintThreads(meshThreads(s))}
 	r := classifyMesh(s, clean, "clean")
 	if r.outcome != Masked {
 		t.Fatalf("outcome = %v/%s, want masked", r.outcome, r.detail)

@@ -140,7 +140,7 @@ func prepareMesh() (*meshClean, error) {
 	}
 	return &meshClean{
 		cycles:   cycles,
-		fp:       fingerprintThreads(meshThreads(s)),
+		fp:       machine.FingerprintThreads(meshThreads(s)),
 		messages: s.Net.Stats().Messages,
 	}, nil
 }
@@ -163,7 +163,7 @@ func classifyMeshBare(s *multi.System, clean *meshClean, maskDetail string) tria
 	if !s.Done() {
 		return trialResult{outcome: Escaped, detail: "timeout"}
 	}
-	if fingerprintThreads(meshThreads(s)) == clean.fp {
+	if machine.FingerprintThreads(meshThreads(s)) == clean.fp {
 		return trialResult{outcome: Masked, detail: maskDetail}
 	}
 	return trialResult{outcome: Escaped, detail: "silent-divergence"}

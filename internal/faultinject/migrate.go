@@ -124,7 +124,7 @@ func prepareMigrateFixture() (*migrateClean, error) {
 	if !s.Done() || s.Hung() {
 		return nil, fmt.Errorf("faultinject: clean migrate run did not finish (hung=%v)", s.Hung())
 	}
-	fx := &migrateClean{cycles: cycles, fp: fingerprintThreads(meshThreads(s))}
+	fx := &migrateClean{cycles: cycles, fp: machine.FingerprintThreads(meshThreads(s))}
 
 	p, err := buildMigrateMesh(func(c *multi.Config) {
 		c.MigrateAt = migrateCampaignAt
@@ -138,7 +138,7 @@ func prepareMigrateFixture() (*migrateClean, error) {
 	if rep == nil || !rep.Committed {
 		return nil, fmt.Errorf("faultinject: probe migration did not commit: %+v", rep)
 	}
-	if !p.Done() || fingerprintThreads(meshThreads(p)) != fx.fp {
+	if !p.Done() || machine.FingerprintThreads(meshThreads(p)) != fx.fp {
 		return nil, fmt.Errorf("faultinject: probe migration diverged from clean run")
 	}
 	if rep.Link.FramesSent < 5 {
@@ -180,7 +180,7 @@ func classifyMigrate(s *multi.System, fx *migrateClean, okDetail string) trialRe
 	if !s.Done() {
 		return counters(trialResult{outcome: Escaped, detail: "timeout"})
 	}
-	if fingerprintThreads(meshThreads(s)) != fx.fp {
+	if machine.FingerprintThreads(meshThreads(s)) != fx.fp {
 		return counters(trialResult{outcome: Escaped, detail: "silent-divergence"})
 	}
 	return counters(trialResult{outcome: Tolerated, detail: okDetail})

@@ -78,7 +78,7 @@ func preparePersistFixture(dir string) (*persistFixture, error) {
 		return nil, fmt.Errorf("faultinject: persist fixture workload did not finish")
 	}
 	return &persistFixture{dir: dir, cfg: cfg, budget: w.budget,
-		fp: fingerprintThreads(k.M.Threads())}, nil
+		fp: machine.FingerprintThreads(k.M.Threads())}, nil
 }
 
 // copyDir copies the fixture's flat file set into dst.
@@ -216,7 +216,7 @@ func runPersistTrial(fx *persistFixture, class Class, seed uint64) trialResult {
 		persistFallback: stats.Fallbacks,
 		persistCorrupt:  stats.CorruptDetected,
 	}
-	if fingerprintThreads(k.M.Threads()) != fx.fp {
+	if machine.FingerprintThreads(k.M.Threads()) != fx.fp {
 		res.outcome = Escaped
 		res.detail = "persist-divergence"
 		return res

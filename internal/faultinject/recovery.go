@@ -65,7 +65,7 @@ func RecoveryTrial(seed uint64) (*RecoveryResult, error) {
 	if !s1.Done() || s1.Hung() {
 		return nil, fmt.Errorf("faultinject: recovery reference run did not finish (hung=%v)", s1.Hung())
 	}
-	cleanFP := fingerprintThreads(s1.Nodes[0].K.M.Threads())
+	cleanFP := machine.FingerprintThreads(s1.Nodes[0].K.M.Threads())
 
 	// Faulted run: checkpoint, then kill, then watchdog.
 	s2, nodeCfg, err := buildRecovery()
@@ -108,7 +108,7 @@ func RecoveryTrial(seed uint64) (*RecoveryResult, error) {
 	s2.Revive(0, k2)
 	s2.Run(budget)
 	res.Recovered = s2.Done() && !s2.Hung()
-	res.RecoveredFP = fingerprintThreads(s2.Nodes[0].K.M.Threads())
+	res.RecoveredFP = machine.FingerprintThreads(s2.Nodes[0].K.M.Threads())
 	res.Match = res.Recovered && res.RecoveredFP == res.CleanFP
 	return res, nil
 }

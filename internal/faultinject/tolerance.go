@@ -203,7 +203,7 @@ func runLocalTolerantTrial(w *workload, class Class, seed uint64) (res trialResu
 		tolerated = true
 		detail = "reg-rollback"
 	}
-	if fingerprintThreads(d.k.M.Threads()) != w.clean.fp {
+	if machine.FingerprintThreads(d.k.M.Threads()) != w.clean.fp {
 		return counters(trialResult{outcome: Escaped, detail: "silent-divergence"})
 	}
 	if tolerated {
@@ -283,7 +283,7 @@ func classifyMeshTolerant(s *multi.System, clean *meshClean, maskDetail string) 
 	if !s.Done() {
 		return counters(trialResult{outcome: Escaped, detail: "timeout"})
 	}
-	if fingerprintThreads(meshThreads(s)) != clean.fp {
+	if machine.FingerprintThreads(meshThreads(s)) != clean.fp {
 		return counters(trialResult{outcome: Escaped, detail: "silent-divergence"})
 	}
 	st := s.Net.Stats()
@@ -390,7 +390,7 @@ func AutoRecoveryTrial(seed uint64) (*RecoveryResult, error) {
 	if !s1.Done() || s1.Hung() {
 		return nil, fmt.Errorf("faultinject: auto-recovery reference run did not finish (hung=%v)", s1.Hung())
 	}
-	cleanFP := fingerprintThreads(s1.Nodes[0].K.M.Threads())
+	cleanFP := machine.FingerprintThreads(s1.Nodes[0].K.M.Threads())
 
 	s2, _, err := buildRecoveryTolerant()
 	if err != nil {
@@ -411,7 +411,7 @@ func AutoRecoveryTrial(seed uint64) (*RecoveryResult, error) {
 		WatchdogTripped: s2.Restores() > 0,
 		CleanFP:         cleanFP,
 		Recovered:       s2.Done() && !s2.Hung(),
-		RecoveredFP:     fingerprintThreads(s2.Nodes[0].K.M.Threads()),
+		RecoveredFP:     machine.FingerprintThreads(s2.Nodes[0].K.M.Threads()),
 	}
 	res.Match = res.Recovered && res.RecoveredFP == res.CleanFP
 	return res, nil

@@ -186,34 +186,6 @@ func (w *workload) prepare() error {
 			return fmt.Errorf("faultinject: workload %s thread %d: %v %v", w.name, t.ID, t.State, t.Fault)
 		}
 	}
-	w.clean = cleanRun{cycles: cycles, fp: fingerprintThreads(k.M.Threads())}
+	w.clean = cleanRun{cycles: cycles, fp: machine.FingerprintThreads(k.M.Threads())}
 	return nil
-}
-
-// fingerprintThreads hashes the architectural outcome of a thread set:
-// per-thread state, instruction-pointer address, retired-instruction
-// count and full register file (bits and tag). Timing — cycle counts,
-// latencies — is deliberately excluded, so delay-class faults that
-// change when things happen but not what happened classify as masked.
-func fingerprintThreads(threads []*machine.Thread) uint64 {
-	h := uint64(1469598103934665603) // FNV-1a offset basis
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	for _, t := range threads {
-		mix(uint64(t.ID))
-		mix(uint64(t.State))
-		mix(t.Instret)
-		mix(t.IP.Addr())
-		for _, r := range t.Regs {
-			mix(r.Bits)
-			if r.Tag {
-				mix(1)
-			} else {
-				mix(0)
-			}
-		}
-	}
-	return h
 }

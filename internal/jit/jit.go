@@ -8,15 +8,16 @@
 // straight-line regions (discovered by per-branch-target execution
 // counters) are compiled into flat step slices in which every check the
 // verifier proved safe is elided, and every site it could not prove
-// keeps the interpreter's full dynamic check sequence by dispatching
-// through the ordinary path.
+// keeps the interpreter's full dynamic check sequence.
 //
-// The translator produces *data*, not code: a Block is a slice of Steps
-// each tagged with a specialization kind; the executor that interprets
-// them lives in internal/machine (blockexec.go) because each step needs
-// the machine's cache, address space, fault and accounting machinery.
-// Correctness bar: architectural state, vm/cache statistics, and cycle
-// accounting are bit-identical to the interpreter on every program.
+// The translator produces *data*, not code: a Block is a slice of
+// decoded instructions, each marked Proven or not. There is no second
+// copy of the instruction semantics: the executor in internal/machine
+// (blockexec.go) runs every step through the interpreter's own dispatch,
+// which skips the checks of a proven step and performs all of them for
+// the rest. Correctness bar: architectural state, vm/cache statistics,
+// and cycle accounting are bit-identical to the interpreter on every
+// program.
 //
 // Soundness: a verdict is a proof about the registered program's code
 // under capverify's entry contract (see Engine.Register). The proofs are
@@ -35,56 +36,24 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Kind selects the specialized executor for one compiled step. Every
-// kind other than KDispatch has all of its site checks statically
-// discharged; KDispatch retains the full dynamic sequence by running
-// the interpreter's dispatch for that one instruction.
-type Kind uint8
-
-const (
-	// KDispatch runs the instruction through the interpreter's dispatch
-	// switch: all dynamic checks retained.
-	KDispatch Kind = iota
-	// KALU is an integer ALU / move / load-immediate instruction with a
-	// provably-safe sequential IP advance.
-	KALU
-	// KLoad / KStore are word memory accesses with every check (tag,
-	// perm, bounds, span, align, ctrl) proven safe.
-	KLoad
-	KStore
-	// KLoadB / KStoreB are the byte-access forms.
-	KLoadB
-	KStoreB
-	// KLea covers LEA/LEAI/LEAB/LEABI with immutability and bounds
-	// proven; the pointer arithmetic runs unchecked.
-	KLea
-	// KBr is an unconditional branch whose target provably stays in the
-	// code segment. It always ends its block.
-	KBr
-	// KBeqz / KBnez are conditional branches with a safe target; the
-	// fall-through continues inside the block, a taken branch exits it
-	// (or chains back to the block head).
-	KBeqz
-	KBnez
-	// KHalt stops the thread. It always ends its block.
-	KHalt
-)
-
-// Step is one compiled instruction: the executor switches on Kind and
-// reads operands from Inst. Addr is the instruction's fetch address —
-// the executor re-translates it each step so TLB behavior matches the
-// interpreter exactly.
+// Step is one compiled instruction. Addr is its fetch address — the
+// executor re-translates it each step so TLB behavior matches the
+// interpreter exactly. Proven marks an instruction whose site checks
+// the verifier all discharged: the executor runs it through the
+// interpreter's dispatch with those checks dropped. An unproven step
+// runs the same dispatch with every check in place.
 type Step struct {
-	Kind Kind
-	Addr uint64
-	Inst isa.Inst
+	Addr   uint64
+	Inst   isa.Inst
+	Proven bool
 }
 
 // Block is one compiled superblock: straight-line code entered only at
 // Head. Valid is cleared (never reset) when an invalidation covers the
 // block; executors must re-check it after every potentially-writing
-// step. Elided and Retained count the capverify check sites the
-// compiled form skips and keeps, respectively.
+// step. Elided and Retained count the capverify check sites of its
+// proven and unproven steps: the checks the compiled form skips and
+// keeps, respectively.
 type Block struct {
 	Head  uint64
 	Steps []Step
@@ -93,9 +62,6 @@ type Block struct {
 	Elided   int
 	Retained int
 }
-
-// end returns the first address past the block's last instruction.
-func (b *Block) end() uint64 { return b.Head + uint64(len(b.Steps))*8 }
 
 // region is one registered program: its analyzed image and report, at
 // its load address.
@@ -370,19 +336,19 @@ func (e *Engine) build(r *region, head uint64) *Block {
 		if checks == nil {
 			break // unreachable per the verifier: no proof exists here
 		}
-		kind, ends, ok := classify(r.img.Insts[pc], allSafe(checks))
+		proven, ends, ok := classify(r.img.Insts[pc].Op, allSafe(checks))
 		if !ok {
 			break
 		}
 		blk.Steps = append(blk.Steps, Step{
-			Kind: kind,
-			Addr: r.base + uint64(pc)*8,
-			Inst: r.img.Insts[pc],
+			Addr:   r.base + uint64(pc)*8,
+			Inst:   r.img.Insts[pc],
+			Proven: proven,
 		})
-		if kind == KDispatch {
-			blk.Retained += len(checks)
-		} else {
+		if proven {
 			blk.Elided += len(checks)
+		} else {
+			blk.Retained += len(checks)
 		}
 		if ends {
 			break
@@ -405,58 +371,31 @@ func allSafe(checks []capverify.SiteCheck) bool {
 	return true
 }
 
-// classify maps one instruction to its step kind: a specialized
-// (check-elided) kind when every site check is safe and the executor
-// has a fast form for it, KDispatch otherwise. ends marks block
-// enders; ok false excludes the instruction from blocks entirely.
-func classify(inst isa.Inst, safe bool) (kind Kind, ends, ok bool) {
-	switch inst.Op {
-	case isa.JMP, isa.JMPL, isa.TRAP:
-		return 0, false, false
-	case isa.HALT:
-		return KHalt, true, true
-	case isa.BR:
-		if safe {
-			return KBr, true, true
-		}
-		return KDispatch, true, true
-	case isa.BEQZ:
-		if safe {
-			return KBeqz, false, true
-		}
-	case isa.BNEZ:
-		if safe {
-			return KBnez, false, true
-		}
+// Provable reports whether op may run proven: whether the executor can
+// drop its checks once the verifier discharged them all. These are the
+// integer ALU ops, moves, word and byte loads and stores, the LEA
+// family, branches and HALT. The pointer-field ops, floating point and
+// MOVIP always keep their checks.
+func Provable(op isa.Op) bool {
+	switch op {
 	case isa.NOP, isa.ADD, isa.ADDI, isa.SUB, isa.SUBI, isa.MUL,
 		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHLI, isa.SHR, isa.SHRI,
-		isa.SLT, isa.SLTI, isa.SEQ, isa.SEQI, isa.MOV, isa.LDI:
-		if safe {
-			return KALU, false, true
-		}
-	case isa.LD:
-		if safe {
-			return KLoad, false, true
-		}
-	case isa.ST:
-		if safe {
-			return KStore, false, true
-		}
-	case isa.LDB:
-		if safe {
-			return KLoadB, false, true
-		}
-	case isa.STB:
-		if safe {
-			return KStoreB, false, true
-		}
-	case isa.LEA, isa.LEAI, isa.LEAB, isa.LEABI:
-		if safe {
-			return KLea, false, true
-		}
+		isa.SLT, isa.SLTI, isa.SEQ, isa.SEQI, isa.MOV, isa.LDI,
+		isa.LD, isa.ST, isa.LDB, isa.STB,
+		isa.LEA, isa.LEAI, isa.LEAB, isa.LEABI,
+		isa.BR, isa.BEQZ, isa.BNEZ, isa.HALT:
+		return true
 	}
-	// Everything else — unsafe sites, pointer-field ops, floating
-	// point, MOVIP — keeps the interpreter's checks for this one
-	// instruction.
-	return KDispatch, false, true
+	return false
+}
+
+// classify decides an instruction's place in a block: proven when the
+// op is Provable and every check at its site is safe, ends for the
+// block enders BR and HALT, and ok false for JMP, JMPL and TRAP, whose
+// control transfer and kernel interaction stay interpreted.
+func classify(op isa.Op, safe bool) (proven, ends, ok bool) {
+	if op == isa.JMP || op == isa.JMPL || op == isa.TRAP {
+		return false, false, false
+	}
+	return safe && Provable(op), op == isa.BR || op == isa.HALT, true
 }

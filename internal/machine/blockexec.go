@@ -3,26 +3,22 @@ package machine
 import (
 	"repro/internal/asm"
 	"repro/internal/capverify"
-	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/jit"
-	"repro/internal/telemetry"
 	"repro/internal/word"
 )
 
-// This file is the executor for internal/jit's compiled superblocks:
-// the machine-side half of the compiled execution tier. A Step is pure
-// data; running it needs the machine's cache, address space, fault
-// routing and cycle accounting, so the per-kind switch lives here.
-//
-// Equivalence contract with the interpreter (exec.go), per step:
+// This file runs internal/jit's compiled superblocks: the machine-side
+// half of the compiled execution tier. A block is a list of decoded
+// instructions, each marked Proven when the verifier discharged all of
+// its site checks; running one is the interpreter's own dispatch with
+// the proven checks dropped (exec.go). Per step the executor keeps the
+// interpreter's contract:
 //   - the fetch address is translated exactly once (the decoded-cache
 //     hit path), so vm/TLB counters and page-fault behavior match;
-//   - elided steps perform the same Cache/Space accesses with the same
-//     m.now stamps, writing the same register values the checked path
-//     would produce when its checks pass (which capverify proved);
-//   - retained steps run the interpreter's own dispatch;
-//   - faults, blocking, and retirement use the interpreter's helpers.
+//   - proven steps perform the same Cache/Space accesses with the same
+//     m.now stamps and write the same values as the checked path does
+//     when its checks pass, which capverify proved they do;
+//   - faults, blocking, remote accesses and retirement are dispatch's.
 // Under that contract architectural state, stats, and cycle counts are
 // bit-identical with the translator on or off.
 
@@ -60,12 +56,9 @@ func (m *Machine) JITRegister(prog *asm.Program, base uint64, vcfg capverify.Con
 // jitStep runs the thread's next instruction(s) from a compiled block,
 // returning false when the interpreter should run instead: no block
 // covers the IP, or a per-instruction observation hook is installed
-// (those see every dispatched instruction, which elided steps bypass).
+// (those see every dispatched instruction, and blocks skip observe).
 func (m *Machine) jitStep(t *Thread) bool {
-	if m.Integrity != nil || m.OnIssue != nil || m.Profiler != nil {
-		return false
-	}
-	if m.Tracer != nil && m.Tracer.Enabled(telemetry.EvInstr) {
+	if m.hooked() {
 		return false
 	}
 	blk, idx := t.jblk, t.jidx
@@ -83,251 +76,67 @@ func (m *Machine) jitStep(t *Thread) bool {
 		idx = 0
 		m.jit.Counters.Entries++
 	}
-	if len(m.threads) == 1 && m.Remote == nil && m.scrubEvery == 0 {
-		m.runBlockWhole(t, blk, idx)
-	} else {
-		m.runBlockPaced(t, blk, idx)
-	}
+	m.runBlock(t, blk, idx)
 	return true
 }
 
-// runBlockPaced executes exactly one compiled step per machine cycle,
-// leaving all per-cycle accounting to the ordinary Step loop. This is
-// the mode for configurations where other agents act between cycles —
-// sibling threads, deferred remote traffic, the background scrubber.
-func (m *Machine) runBlockPaced(t *Thread, blk *jit.Block, idx int) {
-	next, in := m.execStep(t, blk, idx)
-	if in && blk.Valid && next < len(blk.Steps) {
-		t.jblk, t.jidx = blk, next
-	}
-}
-
-// runBlockWhole executes as much of the block as it can inside one
-// Step call — including chaining a block-ending branch back to the
-// block head — applying the cycle accounting the interpreter would
-// have accumulated per instruction in one batch: each extra step is
-// one more cycle, one more issue packet on this cluster, and one idle
-// cycle on each of the others. Exit leaves a resume cursor when the
-// block can continue (memory blocking, chain budget).
-func (m *Machine) runBlockWhole(t *Thread, blk *jit.Block, idx int) {
-	budget := m.jit.ChainBudget()
-	issued := 1
-	for {
-		next, in := m.execStep(t, blk, idx)
-		if !in {
+// runBlock executes blk from step idx for t. A step continues the block
+// when the IP lands on the next step, or back on the head of a
+// still-valid block with t ready: after a proven taken branch, or after
+// an unproven step (its branch, or a fault retry). Anything else leaves
+// the block with every effect committed by dispatch; a proven taken
+// branch that leaves feeds the heat counters, so blocks reachable only
+// from compiled code still get discovered.
+//
+// Unless whole, one step runs per call and the cursor is left on the
+// next, so the Step loop does the per-cycle accounting, as machines
+// with other agents acting between cycles need: sibling threads,
+// deferred remote traffic, the scrubber. whole — a single thread and
+// none of those — keeps going inside this one Step and applies per
+// extra step the accounting Step would have: one cycle, one issue
+// packet on this cluster, one idle cycle on each other. It stops with
+// the cursor set when t blocks, at the chain budget, and at the Run
+// cap, so Run(n) consumes the same n cycles with the translator on or
+// off.
+func (m *Machine) runBlock(t *Thread, blk *jit.Block, idx int) {
+	whole := len(m.threads) == 1 && m.Remote == nil && m.scrubEvery == 0
+	budget, idle := m.jit.ChainBudget(), uint64(m.cfg.Clusters-1)
+	steps := blk.Steps
+	for issued := 1; ; issued++ {
+		s := &steps[idx]
+		// Translate the fetch address every step, hit-path style (see
+		// fetchDecoded): keeps TLB counters and fetch page faults
+		// bit-identical to the interpreter.
+		if _, _, err := m.Space.Translate(s.Addr); err != nil {
+			m.fault(t, err)
 			return
 		}
-		if t.State != Ready || !blk.Valid || next >= len(blk.Steps) {
-			if blk.Valid && next < len(blk.Steps) {
-				t.jblk, t.jidx = blk, next
+		jumped := m.dispatch(t, &s.Inst, s.Proven)
+		switch a := t.IP.Addr(); {
+		case a == s.Addr+word.BytesPerWord && !jumped && !t.Done():
+			idx++
+		case a == blk.Head && t.State == Ready && blk.Valid && (jumped || !s.Proven):
+			idx = 0
+		default:
+			if jumped {
+				m.jit.NoteBranch(a)
 			}
 			return
 		}
-		if issued >= budget {
-			t.jblk, t.jidx = blk, next
+		if !blk.Valid || idx == len(steps) {
 			return
 		}
 		// The next step would execute at cycle m.cycle+1; a Run cap
 		// means the interpreter would have stopped before it.
-		if m.runLimit != 0 && m.cycle+1 >= m.runLimit {
-			t.jblk, t.jidx = blk, next
+		if !whole || t.State != Ready || issued >= budget ||
+			(m.runLimit != 0 && m.cycle+1 >= m.runLimit) {
+			t.jblk, t.jidx = blk, idx
 			return
 		}
 		m.cycle++
 		m.now = m.cycle
 		m.stats.Cycles++
 		m.stats.IssuePackets++
-		m.stats.IdleCycles += uint64(m.cfg.Clusters - 1)
-		issued++
-		idx = next
+		m.stats.IdleCycles += idle
 	}
-}
-
-// execStep runs blk.Steps[idx] for t at cycle m.now, exactly as the
-// interpreter would have. It returns the next step index and whether
-// execution may continue inside this block; false after faults, halts,
-// control transfers that leave the block, and dispatch divergence.
-func (m *Machine) execStep(t *Thread, blk *jit.Block, idx int) (int, bool) {
-	s := &blk.Steps[idx]
-	// Translate the fetch address every step, hit-path style (see
-	// fetchDecoded): keeps TLB counters and fetch page faults
-	// bit-identical to the interpreter.
-	if _, _, err := m.Space.Translate(s.Addr); err != nil {
-		m.fault(t, err)
-		return 0, false
-	}
-	r := &t.Regs
-	inst := &s.Inst
-	switch s.Kind {
-	case jit.KALU:
-		switch inst.Op {
-		case isa.NOP:
-		case isa.ADD:
-			r[inst.Rd] = word.FromInt(r[inst.Ra].Int() + r[inst.Rb].Int())
-		case isa.ADDI:
-			r[inst.Rd] = word.FromInt(r[inst.Ra].Int() + inst.Imm)
-		case isa.SUB:
-			r[inst.Rd] = word.FromInt(r[inst.Ra].Int() - r[inst.Rb].Int())
-		case isa.SUBI:
-			r[inst.Rd] = word.FromInt(r[inst.Ra].Int() - inst.Imm)
-		case isa.MUL:
-			r[inst.Rd] = word.FromInt(r[inst.Ra].Int() * r[inst.Rb].Int())
-		case isa.AND:
-			r[inst.Rd] = word.FromInt(r[inst.Ra].Int() & r[inst.Rb].Int())
-		case isa.OR:
-			r[inst.Rd] = word.FromInt(r[inst.Ra].Int() | r[inst.Rb].Int())
-		case isa.XOR:
-			r[inst.Rd] = word.FromInt(r[inst.Ra].Int() ^ r[inst.Rb].Int())
-		case isa.SHL:
-			r[inst.Rd] = word.FromInt(r[inst.Ra].Int() << (uint64(r[inst.Rb].Int()) & 63))
-		case isa.SHLI:
-			r[inst.Rd] = word.FromInt(r[inst.Ra].Int() << (uint64(inst.Imm) & 63))
-		case isa.SHR:
-			r[inst.Rd] = word.FromInt(int64(uint64(r[inst.Ra].Int()) >> (uint64(r[inst.Rb].Int()) & 63)))
-		case isa.SHRI:
-			r[inst.Rd] = word.FromInt(int64(uint64(r[inst.Ra].Int()) >> (uint64(inst.Imm) & 63)))
-		case isa.SLT:
-			r[inst.Rd] = word.FromBool(r[inst.Ra].Int() < r[inst.Rb].Int())
-		case isa.SLTI:
-			r[inst.Rd] = word.FromBool(r[inst.Ra].Int() < inst.Imm)
-		case isa.SEQ:
-			r[inst.Rd] = word.FromBool(r[inst.Ra] == r[inst.Rb])
-		case isa.SEQI:
-			r[inst.Rd] = word.FromBool(r[inst.Ra].Int() == inst.Imm)
-		case isa.MOV:
-			r[inst.Rd] = r[inst.Ra]
-		case isa.LDI:
-			r[inst.Rd] = word.FromInt(inst.Imm)
-		}
-
-	case jit.KLoad:
-		addr := (r[inst.Ra].Bits + uint64(inst.Imm)) & core.AddrMask
-		if m.Remote != nil && m.Remote.IsRemote(addr) {
-			return m.stepDispatch(t, blk, s, idx)
-		}
-		v, done, err := m.Cache.ReadWord(addr, m.now)
-		if err != nil {
-			m.fault(t, err)
-			return 0, false
-		}
-		r[inst.Rd] = v
-		m.block(t, done)
-
-	case jit.KStore:
-		addr := (r[inst.Ra].Bits + uint64(inst.Imm)) & core.AddrMask
-		if m.Remote != nil && m.Remote.IsRemote(addr) {
-			return m.stepDispatch(t, blk, s, idx)
-		}
-		done, err := m.Cache.WriteWord(addr, r[inst.Rb], m.now)
-		if err != nil {
-			m.fault(t, err)
-			return 0, false
-		}
-		m.block(t, done)
-
-	case jit.KLoadB:
-		addr := (r[inst.Ra].Bits + uint64(inst.Imm)) & core.AddrMask
-		if m.Remote != nil && m.Remote.IsRemote(addr) {
-			return m.stepDispatch(t, blk, s, idx)
-		}
-		done, _, err := m.Cache.Access(addr, false, m.now)
-		var bval byte
-		if err == nil {
-			bval, err = m.Space.ByteAt(addr)
-		}
-		if err != nil {
-			m.fault(t, err)
-			return 0, false
-		}
-		r[inst.Rd] = word.FromInt(int64(bval))
-		m.block(t, done)
-
-	case jit.KStoreB:
-		addr := (r[inst.Ra].Bits + uint64(inst.Imm)) & core.AddrMask
-		if m.Remote != nil && m.Remote.IsRemote(addr) {
-			return m.stepDispatch(t, blk, s, idx)
-		}
-		done, _, err := m.Cache.Access(addr, true, m.now)
-		if err == nil {
-			err = m.Space.SetByteAt(addr, byte(r[inst.Rb].Bits))
-		}
-		if err != nil {
-			m.fault(t, err)
-			return 0, false
-		}
-		m.block(t, done)
-
-	case jit.KLea:
-		off := inst.Imm
-		if inst.Op == isa.LEA || inst.Op == isa.LEAB {
-			off = r[inst.Rb].Int()
-		}
-		if inst.Op == isa.LEA || inst.Op == isa.LEAI {
-			r[inst.Rd] = core.UncheckedLEA(r[inst.Ra], off)
-		} else {
-			r[inst.Rd] = core.UncheckedLEAB(r[inst.Ra], off)
-		}
-
-	case jit.KBr:
-		t.IP = core.UncheckedAdvance(t.IP, (inst.Imm+1)*word.BytesPerWord)
-		m.retire(t)
-		return m.branchExit(t, blk)
-
-	case jit.KBeqz, jit.KBnez:
-		taken := r[inst.Ra].Int() == 0
-		if s.Kind == jit.KBnez {
-			taken = !taken
-		}
-		if taken {
-			t.IP = core.UncheckedAdvance(t.IP, (inst.Imm+1)*word.BytesPerWord)
-			m.retire(t)
-			return m.branchExit(t, blk)
-		}
-
-	case jit.KHalt:
-		t.State = Halted
-		m.retire(t)
-		return 0, false
-
-	default: // jit.KDispatch
-		return m.stepDispatch(t, blk, s, idx)
-	}
-
-	t.IP = core.UncheckedAdvance(t.IP, word.BytesPerWord)
-	m.retire(t)
-	return idx + 1, true
-}
-
-// branchExit decides where a taken elided branch leaves the block: back
-// to its own head (chain) or out to the machine loop. Exits feed the
-// heat counters so blocks reachable only from compiled code still get
-// discovered.
-func (m *Machine) branchExit(t *Thread, blk *jit.Block) (int, bool) {
-	a := t.IP.Addr()
-	if a == blk.Head && blk.Valid {
-		return 0, true
-	}
-	m.jit.NoteBranch(a)
-	return 0, false
-}
-
-// stepDispatch runs one retained step through the interpreter's
-// dispatch, then checks whether execution landed where the block
-// expects: on the next step (sequential), or back on the block head (a
-// retained branch chaining). Anything else — fault, halt, deferred
-// remote (IP not advanced), control transfer out — exits the block
-// with all state already committed by dispatch.
-func (m *Machine) stepDispatch(t *Thread, blk *jit.Block, s *jit.Step, idx int) (int, bool) {
-	m.dispatch(t, s.Inst)
-	switch t.IP.Addr() {
-	case s.Addr + word.BytesPerWord:
-		if t.State == Ready || t.State == Blocked {
-			return idx + 1, true
-		}
-	case blk.Head:
-		if t.State == Ready && blk.Valid {
-			return 0, true
-		}
-	}
-	return 0, false
 }

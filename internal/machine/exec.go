@@ -24,7 +24,10 @@ func (m *Machine) execute(t *Thread) {
 		return
 	}
 	if m.Remote != nil && m.Remote.IsRemote(t.IP.Addr()) {
-		m.executeRemoteFetch(t)
+		// Execute pointers are valid machine-wide (Sec 3): code homed
+		// elsewhere fetches each instruction over the mesh — correct,
+		// and deliberately slow; real software migrates code.
+		m.remote(remFetch, t, t.IP.Addr(), word.Word{}, 0)
 		return
 	}
 	if m.jit != nil && m.jitStep(t) {
@@ -35,7 +38,10 @@ func (m *Machine) execute(t *Thread) {
 		m.fault(t, err)
 		return
 	}
-	m.dispatch(t, inst)
+	if m.hooked() && !m.observe(t, &inst) {
+		return
+	}
+	m.dispatch(t, &inst, false)
 }
 
 // fetchDecoded fetches and decodes the local instruction word at vaddr,
@@ -69,33 +75,37 @@ func (m *Machine) fetchDecoded(vaddr uint64) (isa.Inst, error) {
 	return inst, nil
 }
 
-// executeRemoteFetch handles an instruction fetch whose address is
-// homed on another node (execute pointers are valid machine-wide,
-// Sec 3: running code homed elsewhere fetches each instruction over the
-// mesh — correct, and deliberately slow; real software migrates code).
-// Under DeferRemote the fetch is parked for the cycle barrier;
-// otherwise it runs inline, exactly the pre-barrier semantics.
-func (m *Machine) executeRemoteFetch(t *Thread) {
-	if m.deferRemote(remFetch, t, t.IP.Addr(), word.Word{}, isa.Inst{}) {
-		return
+// hooked reports whether a per-instruction observation hook is live.
+// Compiled blocks do not run then (jitStep), so observe only ever sees
+// interpreted instructions.
+func (m *Machine) hooked() bool {
+	return m.Integrity != nil || m.OnIssue != nil || m.Profiler != nil ||
+		(m.Tracer != nil && m.Tracer.Enabled(telemetry.EvInstr))
+}
+
+// observe runs the observation hooks on inst as it issues for t: the
+// Integrity veto, OnIssue, the Profiler sample and the Tracer's
+// instruction event. It reports false when Integrity vetoed the
+// instruction, whose fault is then already raised.
+func (m *Machine) observe(t *Thread, inst *isa.Inst) bool {
+	if m.Integrity != nil {
+		if err := m.Integrity(t, *inst); err != nil {
+			m.fault(t, err)
+			return false
+		}
 	}
-	w, fetchDone, err := m.Remote.ReadWord(t.IP.Addr(), m.now)
-	if err != nil {
-		m.fault(t, err)
-		return
+	if m.OnIssue != nil {
+		m.OnIssue(t, *inst)
 	}
-	if fetchDone == NeverDone {
-		m.lose(t)
-		return
+	if m.Profiler != nil {
+		m.Profiler.Sample(t.IP.Addr())
 	}
-	m.observeRemoteRT(m.now, fetchDone)
-	inst, derr := isa.Decode(w)
-	if derr != nil {
-		m.fault(t, &core.Fault{Code: core.FaultPerm, Op: "FETCH", Msg: derr.Error()})
-		return
+	if m.Tracer != nil && m.Tracer.Enabled(telemetry.EvInstr) {
+		m.Tracer.Emit(telemetry.Event{Cycle: m.now, Kind: telemetry.EvInstr,
+			Thread: t.ID, Cluster: t.cluster, Domain: t.Domain,
+			Addr: t.IP.Addr(), Detail: inst.String()})
 	}
-	m.dispatch(t, inst)
-	m.finishRemoteFetch(t, fetchDone)
+	return true
 }
 
 // observeRemoteRT records a completed remote access's round trip into
@@ -109,8 +119,7 @@ func (m *Machine) observeRemoteRT(issue, done uint64) {
 // finishRemoteFetch applies the fetch network latency after the
 // instruction has executed: a still-ready thread blocks until the fetch
 // would have arrived, and a thread already blocked on a slower memory
-// reference keeps the later wakeup. (This replaces a per-cycle defer
-// that used to do the same on every return path of execute.)
+// reference keeps the later wakeup.
 func (m *Machine) finishRemoteFetch(t *Thread, fetchDone uint64) {
 	if t.State == Ready && fetchDone > m.now+1 {
 		t.State = Blocked
@@ -120,19 +129,21 @@ func (m *Machine) finishRemoteFetch(t *Thread, fetchDone uint64) {
 	}
 }
 
-// deferRemote parks a remote access for barrier-time completion and
-// blocks the thread; it reports false when the access must instead run
-// inline (immediate mode, or already inside ServiceRemote).
-func (m *Machine) deferRemote(kind remoteKind, t *Thread, addr uint64, val word.Word, inst isa.Inst) bool {
-	if !m.DeferRemote || m.servicing {
-		return false
+// remote performs t's access to addr, whose home is another node: an
+// instruction fetch, or a load or store whose checks have passed. rd is
+// a load's destination register, val a store's value. Under DeferRemote
+// the access is parked for the cycle barrier and the thread blocks;
+// otherwise, and while ServiceRemote replays parked accesses (a
+// remotely fetched LD to a third node, say), it completes at once.
+func (m *Machine) remote(kind remoteKind, t *Thread, addr uint64, val word.Word, rd int) {
+	p := pendingRemote{kind: kind, t: t, addr: addr, val: val, rd: rd, cycle: m.now}
+	if m.DeferRemote && !m.servicing {
+		m.pending = append(m.pending, p)
+		t.State = Blocked
+		t.blockedUntil = pendingSentinel
+		return
 	}
-	m.pending = append(m.pending, pendingRemote{
-		kind: kind, t: t, addr: addr, val: val, inst: inst, cycle: m.now,
-	})
-	t.State = Blocked
-	t.blockedUntil = pendingSentinel
-	return true
+	m.completeRemote(p)
 }
 
 // ServiceRemote completes every remote access parked during Step. The
@@ -140,8 +151,7 @@ func (m *Machine) deferRemote(kind remoteKind, t *Thread, addr uint64, val word.
 // order, so cross-node traffic is serialized identically whether the
 // nodes stepped serially or in parallel. Each access replays with the
 // cycle stamp of its issue (m.now), so latencies, blocking, and traces
-// match an inline access exactly. Nested remote accesses made while
-// servicing (e.g. a remotely fetched LD to a third node) run inline.
+// match an inline access exactly.
 func (m *Machine) ServiceRemote() {
 	if len(m.pending) == 0 {
 		return
@@ -151,136 +161,89 @@ func (m *Machine) ServiceRemote() {
 		p := m.pending[i]
 		m.pending[i] = pendingRemote{} // drop the *Thread reference
 		m.now = p.cycle
-		m.servicePending(p)
+		p.t.State = Ready
+		p.t.blockedUntil = 0
+		m.completeRemote(p)
 	}
 	m.pending = m.pending[:0]
 	m.servicing = false
 	m.now = m.cycle
 }
 
-func (m *Machine) servicePending(p pendingRemote) {
+// completeRemote carries out remote access p at its issue cycle and
+// commits it: a fetched instruction is decoded and dispatched, a load
+// writes its register, and either way the thread blocks for the round
+// trip. An access the fabric consumed parks the thread forever (lose).
+func (m *Machine) completeRemote(p pendingRemote) {
 	t := p.t
-	t.State = Ready
-	t.blockedUntil = 0
+	var v word.Word
+	var done uint64
+	var err error
+	switch p.kind {
+	case remFetch, remLoad:
+		v, done, err = m.Remote.ReadWord(p.addr, p.cycle)
+	case remStore:
+		done, err = m.Remote.WriteWord(p.addr, p.val, p.cycle)
+	case remLoadByte:
+		v, done, err = m.Remote.ReadWord(p.addr&^7, p.cycle)
+	case remStoreByte:
+		// Read-modify-write of the containing word; the tag is cleared
+		// like any partial overwrite.
+		base := p.addr &^ 7
+		v, done, err = m.Remote.ReadWord(base, p.cycle)
+		if err == nil && done != NeverDone {
+			shift := (p.addr & 7) * 8
+			v.Bits = v.Bits&^(uint64(0xff)<<shift) | uint64(byte(p.val.Bits))<<shift
+			v.Tag = false
+			done, err = m.Remote.WriteWord(base, v, done)
+		}
+	}
+	if err != nil {
+		m.fault(t, err)
+		return
+	}
+	if done == NeverDone {
+		m.lose(t)
+		return
+	}
+	m.observeRemoteRT(p.cycle, done)
 	switch p.kind {
 	case remFetch:
-		w, fetchDone, err := m.Remote.ReadWord(p.addr, p.cycle)
-		if err != nil {
-			m.fault(t, err)
-			return
-		}
-		if fetchDone == NeverDone {
-			m.lose(t)
-			return
-		}
-		m.observeRemoteRT(p.cycle, fetchDone)
-		inst, derr := isa.Decode(w)
+		inst, derr := isa.Decode(v)
 		if derr != nil {
 			m.fault(t, &core.Fault{Code: core.FaultPerm, Op: "FETCH", Msg: derr.Error()})
 			return
 		}
-		m.dispatch(t, inst)
-		m.finishRemoteFetch(t, fetchDone)
-
+		if m.observe(t, &inst) {
+			m.dispatch(t, &inst, false)
+		}
+		m.finishRemoteFetch(t, done)
+		return
 	case remLoad:
-		v, done, err := m.Remote.ReadWord(p.addr, p.cycle)
-		if err != nil {
-			m.fault(t, err)
-			return
-		}
-		if done == NeverDone {
-			m.lose(t)
-			return
-		}
-		m.observeRemoteRT(p.cycle, done)
-		t.Regs[p.inst.Rd] = v
-		m.block(t, done)
-		if m.advance(t) {
-			m.retire(t)
-		}
-
-	case remStore:
-		done, err := m.Remote.WriteWord(p.addr, p.val, p.cycle)
-		if err != nil {
-			m.fault(t, err)
-			return
-		}
-		if done == NeverDone {
-			m.lose(t)
-			return
-		}
-		m.observeRemoteRT(p.cycle, done)
-		m.block(t, done)
-		if m.advance(t) {
-			m.retire(t)
-		}
-
+		t.Regs[p.rd] = v
 	case remLoadByte:
-		wv, done, err := m.Remote.ReadWord(p.addr&^7, p.cycle)
-		if err != nil {
-			m.fault(t, err)
-			return
-		}
-		if done == NeverDone {
-			m.lose(t)
-			return
-		}
-		m.observeRemoteRT(p.cycle, done)
-		t.Regs[p.inst.Rd] = word.FromInt(int64(byte(wv.Bits >> ((p.addr & 7) * 8))))
-		m.block(t, done)
-		if m.advance(t) {
-			m.retire(t)
-		}
-
-	case remStoreByte:
-		// Remote read-modify-write of the containing word; the tag is
-		// cleared like any partial overwrite.
-		base := p.addr &^ 7
-		wv, done, err := m.Remote.ReadWord(base, p.cycle)
-		if err == nil && done != NeverDone {
-			shift := (p.addr & 7) * 8
-			wv.Bits = wv.Bits&^(uint64(0xff)<<shift) | uint64(byte(p.val.Bits))<<shift
-			wv.Tag = false
-			done, err = m.Remote.WriteWord(base, wv, done)
-		}
-		if err != nil {
-			m.fault(t, err)
-			return
-		}
-		if done == NeverDone {
-			m.lose(t)
-			return
-		}
-		m.observeRemoteRT(p.cycle, done)
-		m.block(t, done)
-		if m.advance(t) {
-			m.retire(t)
-		}
+		t.Regs[p.rd] = word.FromInt(int64(byte(v.Bits >> ((p.addr & 7) * 8))))
+	}
+	m.block(t, done)
+	if m.advance(t) {
+		m.retire(t)
 	}
 }
 
-// dispatch executes one decoded instruction for t. It is straight-line
-// code — no closures, no defers — because it runs once per simulated
-// instruction.
-func (m *Machine) dispatch(t *Thread, inst isa.Inst) {
-	if m.Integrity != nil {
-		if err := m.Integrity(t, inst); err != nil {
-			m.fault(t, err)
-			return
-		}
-	}
-	if m.OnIssue != nil {
-		m.OnIssue(t, inst)
-	}
-	if m.Profiler != nil {
-		m.Profiler.Sample(t.IP.Addr())
-	}
-	if m.Tracer != nil && m.Tracer.Enabled(telemetry.EvInstr) {
-		m.Tracer.Emit(telemetry.Event{Cycle: m.now, Kind: telemetry.EvInstr,
-			Thread: t.ID, Cluster: t.cluster, Domain: t.Domain,
-			Addr: t.IP.Addr(), Detail: inst.String()})
-	}
-
+// dispatch executes one decoded instruction for t. It is the one place
+// an instruction's semantics live: the interpreter runs it with proven
+// false, compiled blocks (blockexec.go) with the verifier's verdict for
+// the instruction's site. A proven instruction skips the Sec 2.2 check
+// sequence: its effective address, LEA/LEAB result, branch target and
+// IP advance come from core's unchecked forms, which return what the
+// checked forms return when every check passes. dispatch reports
+// whether a proven branch was taken; unlike an interpreted one, it
+// leaves the translator's heat signal to the block executor, which
+// knows whether the target chains.
+//
+// It is straight-line code — no closures, no defers — because it runs
+// once per simulated instruction.
+func (m *Machine) dispatch(t *Thread, inst *isa.Inst, proven bool) (jumped bool) {
 	r := &t.Regs
 
 	switch inst.Op {
@@ -288,7 +251,7 @@ func (m *Machine) dispatch(t *Thread, inst isa.Inst) {
 	case isa.HALT:
 		t.State = Halted
 		m.retire(t)
-		return
+		return false
 
 	// Integer results are written untagged: any pointer operand of a
 	// non-pointer operation has its tag cleared in the result (Sec 2.2).
@@ -329,51 +292,48 @@ func (m *Machine) dispatch(t *Thread, inst isa.Inst) {
 	case isa.LDI:
 		r[inst.Rd] = word.FromInt(inst.Imm)
 
-	case isa.BR:
-		m.branch(t, inst.Imm)
-		return
-	case isa.BEQZ:
-		if r[inst.Ra].Int() == 0 {
+	case isa.BR, isa.BEQZ, isa.BNEZ:
+		if inst.Op == isa.BR || (r[inst.Ra].Int() == 0) == (inst.Op == isa.BEQZ) {
+			if proven {
+				t.IP = core.UncheckedAdvance(t.IP, (inst.Imm+1)*word.BytesPerWord)
+				m.retire(t)
+				return true
+			}
 			m.branch(t, inst.Imm)
-			return
-		}
-	case isa.BNEZ:
-		if r[inst.Ra].Int() != 0 {
-			m.branch(t, inst.Imm)
-			return
+			return false
 		}
 
 	case isa.JMP, isa.JMPL:
 		p, err := core.Decode(r[inst.Ra])
 		if err != nil {
 			m.fault(t, err)
-			return
+			return false
 		}
 		ip, err := core.JumpTarget(p)
 		if err != nil {
 			m.fault(t, err)
-			return
+			return false
 		}
 		if ip.Addr()%word.BytesPerWord != 0 {
 			m.fault(t, &core.Fault{Code: core.FaultBounds, Op: "JMP", Msg: "unaligned jump target"})
-			return
+			return false
 		}
 		if inst.Op == isa.JMPL {
 			ret, err := core.LEA(t.IP, word.BytesPerWord)
 			if err != nil {
 				m.fault(t, err)
-				return
+				return false
 			}
 			r[inst.Rd] = ret.Word()
 		}
 		t.IP = ip
 		m.retire(t)
-		return
+		return false
 
 	case isa.TRAP:
 		// Advance first: the kernel resumes the thread after the trap.
 		if !m.advance(t) {
-			return
+			return false
 		}
 		m.stats.Traps++
 		if m.Tracer != nil && m.Tracer.Enabled(telemetry.EvTrap) {
@@ -387,7 +347,7 @@ func (m *Machine) dispatch(t *Thread, inst isa.Inst) {
 		m.retire(t)
 		if m.OnTrap == nil {
 			m.fault(t, &core.Fault{Code: core.FaultPriv, Op: "TRAP", Msg: "no trap handler installed"})
-			return
+			return false
 		}
 		if m.cfg.TrapCost > 0 {
 			t.State = Blocked
@@ -396,193 +356,138 @@ func (m *Machine) dispatch(t *Thread, inst isa.Inst) {
 		if err := m.OnTrap(m, t, inst.Imm); err != nil {
 			m.fault(t, err)
 		}
-		return
+		return false
 
 	case isa.LD:
-		p, ok := m.effectiveAddress(t, inst, false)
-		if !ok {
-			return
+		a := m.effectiveAddress(t, inst, proven)
+		if a == noAddr {
+			return false
 		}
-		if m.Remote != nil && m.Remote.IsRemote(p.Addr()) {
-			if m.deferRemote(remLoad, t, p.Addr(), word.Word{}, inst) {
-				return
-			}
-			v, done, err := m.Remote.ReadWord(p.Addr(), m.now)
-			if err != nil {
-				m.fault(t, err)
-				return
-			}
-			if done == NeverDone {
-				m.lose(t)
-				return
-			}
-			m.observeRemoteRT(m.now, done)
-			r[inst.Rd] = v
-			m.block(t, done)
-		} else {
-			v, done, err := m.Cache.ReadWord(p.Addr(), m.now)
-			if err != nil {
-				m.fault(t, err)
-				return
-			}
-			r[inst.Rd] = v
-			m.block(t, done)
+		if m.Remote != nil && m.Remote.IsRemote(a) {
+			m.remote(remLoad, t, a, word.Word{}, inst.Rd)
+			return false
 		}
-	case isa.ST:
-		p, ok := m.effectiveAddress(t, inst, true)
-		if !ok {
-			return
-		}
-		if m.Remote != nil && m.Remote.IsRemote(p.Addr()) {
-			if m.deferRemote(remStore, t, p.Addr(), r[inst.Rb], inst) {
-				return
-			}
-			done, err := m.Remote.WriteWord(p.Addr(), r[inst.Rb], m.now)
-			if err != nil {
-				m.fault(t, err)
-				return
-			}
-			if done == NeverDone {
-				m.lose(t)
-				return
-			}
-			m.observeRemoteRT(m.now, done)
-			m.block(t, done)
-		} else {
-			done, err := m.Cache.WriteWord(p.Addr(), r[inst.Rb], m.now)
-			if err != nil {
-				m.fault(t, err)
-				return
-			}
-			m.block(t, done)
-		}
-
-	case isa.LDB:
-		p, ok := m.effectiveAddressSized(t, inst, false, 1)
-		if !ok {
-			return
-		}
-		if m.Remote != nil && m.Remote.IsRemote(p.Addr()) {
-			if m.deferRemote(remLoadByte, t, p.Addr(), word.Word{}, inst) {
-				return
-			}
-			wv, done, err := m.Remote.ReadWord(p.Addr()&^7, m.now)
-			if err != nil {
-				m.fault(t, err)
-				return
-			}
-			if done == NeverDone {
-				m.lose(t)
-				return
-			}
-			m.observeRemoteRT(m.now, done)
-			r[inst.Rd] = word.FromInt(int64(byte(wv.Bits >> ((p.Addr() & 7) * 8))))
-			m.block(t, done)
-		} else {
-			done, _, err := m.Cache.Access(p.Addr(), false, m.now)
-			var bval byte
-			if err == nil {
-				bval, err = m.Space.ByteAt(p.Addr())
-			}
-			if err != nil {
-				m.fault(t, err)
-				return
-			}
-			r[inst.Rd] = word.FromInt(int64(bval))
-			m.block(t, done)
-		}
-	case isa.STB:
-		p, ok := m.effectiveAddressSized(t, inst, true, 1)
-		if !ok {
-			return
-		}
-		bval := byte(r[inst.Rb].Bits)
-		if m.Remote != nil && m.Remote.IsRemote(p.Addr()) {
-			if m.deferRemote(remStoreByte, t, p.Addr(), r[inst.Rb], inst) {
-				return
-			}
-			// Remote read-modify-write of the containing word; the tag
-			// is cleared like any partial overwrite.
-			base := p.Addr() &^ 7
-			wv, done, err := m.Remote.ReadWord(base, m.now)
-			if err == nil && done != NeverDone {
-				shift := (p.Addr() & 7) * 8
-				wv.Bits = wv.Bits&^(uint64(0xff)<<shift) | uint64(bval)<<shift
-				wv.Tag = false
-				done, err = m.Remote.WriteWord(base, wv, done)
-			}
-			if err != nil {
-				m.fault(t, err)
-				return
-			}
-			if done == NeverDone {
-				m.lose(t)
-				return
-			}
-			m.observeRemoteRT(m.now, done)
-			m.block(t, done)
-		} else {
-			done, _, err := m.Cache.Access(p.Addr(), true, m.now)
-			if err == nil {
-				err = m.Space.SetByteAt(p.Addr(), bval)
-			}
-			if err != nil {
-				m.fault(t, err)
-				return
-			}
-			m.block(t, done)
-		}
-
-	case isa.LEA, isa.LEAI, isa.LEAB, isa.LEABI:
-		p, err := core.Decode(r[inst.Ra])
+		v, done, err := m.Cache.ReadWord(a, m.now)
 		if err != nil {
 			m.fault(t, err)
-			return
+			return false
 		}
+		r[inst.Rd] = v
+		m.block(t, done)
+	case isa.ST:
+		a := m.effectiveAddress(t, inst, proven)
+		if a == noAddr {
+			return false
+		}
+		if m.Remote != nil && m.Remote.IsRemote(a) {
+			m.remote(remStore, t, a, r[inst.Rb], 0)
+			return false
+		}
+		done, err := m.Cache.WriteWord(a, r[inst.Rb], m.now)
+		if err != nil {
+			m.fault(t, err)
+			return false
+		}
+		m.block(t, done)
+
+	case isa.LDB:
+		a := m.effectiveAddress(t, inst, proven)
+		if a == noAddr {
+			return false
+		}
+		if m.Remote != nil && m.Remote.IsRemote(a) {
+			m.remote(remLoadByte, t, a, word.Word{}, inst.Rd)
+			return false
+		}
+		done, _, err := m.Cache.Access(a, false, m.now)
+		var bval byte
+		if err == nil {
+			bval, err = m.Space.ByteAt(a)
+		}
+		if err != nil {
+			m.fault(t, err)
+			return false
+		}
+		r[inst.Rd] = word.FromInt(int64(bval))
+		m.block(t, done)
+	case isa.STB:
+		a := m.effectiveAddress(t, inst, proven)
+		if a == noAddr {
+			return false
+		}
+		if m.Remote != nil && m.Remote.IsRemote(a) {
+			m.remote(remStoreByte, t, a, r[inst.Rb], 0)
+			return false
+		}
+		done, _, err := m.Cache.Access(a, true, m.now)
+		if err == nil {
+			err = m.Space.SetByteAt(a, byte(r[inst.Rb].Bits))
+		}
+		if err != nil {
+			m.fault(t, err)
+			return false
+		}
+		m.block(t, done)
+
+	case isa.LEA, isa.LEAI, isa.LEAB, isa.LEABI:
 		off := inst.Imm
 		if inst.Op == isa.LEA || inst.Op == isa.LEAB {
 			off = r[inst.Rb].Int()
 		}
+		fromBase := inst.Op == isa.LEAB || inst.Op == isa.LEABI
+		if proven {
+			if fromBase {
+				r[inst.Rd] = core.UncheckedLEAB(r[inst.Ra], off)
+			} else {
+				r[inst.Rd] = core.UncheckedLEA(r[inst.Ra], off)
+			}
+			break
+		}
+		p, err := core.Decode(r[inst.Ra])
+		if err != nil {
+			m.fault(t, err)
+			return false
+		}
 		var q core.Pointer
-		if inst.Op == isa.LEA || inst.Op == isa.LEAI {
-			q, err = core.LEA(p, off)
-		} else {
+		if fromBase {
 			q, err = core.LEAB(p, off)
+		} else {
+			q, err = core.LEA(p, off)
 		}
 		if err != nil {
 			m.fault(t, err)
-			return
+			return false
 		}
 		r[inst.Rd] = q.Word()
 	case isa.RESTRICT:
 		p, err := core.Decode(r[inst.Ra])
 		if err != nil {
 			m.fault(t, err)
-			return
+			return false
 		}
 		q, err := core.Restrict(p, core.Perm(r[inst.Rb].Uint()&0xf))
 		if err != nil {
 			m.fault(t, err)
-			return
+			return false
 		}
 		r[inst.Rd] = q.Word()
 	case isa.SUBSEG:
 		p, err := core.Decode(r[inst.Ra])
 		if err != nil {
 			m.fault(t, err)
-			return
+			return false
 		}
 		q, err := core.SubSeg(p, uint(r[inst.Rb].Uint()&0x3f))
 		if err != nil {
 			m.fault(t, err)
-			return
+			return false
 		}
 		r[inst.Rd] = q.Word()
 	case isa.SETPTR:
 		q, err := core.SetPtr(r[inst.Ra], t.Privileged())
 		if err != nil {
 			m.fault(t, err)
-			return
+			return false
 		}
 		r[inst.Rd] = q.Word()
 	case isa.ISPTR:
@@ -591,14 +496,14 @@ func (m *Machine) dispatch(t *Thread, inst isa.Inst) {
 		p, err := core.Decode(r[inst.Ra])
 		if err != nil {
 			m.fault(t, err)
-			return
+			return false
 		}
 		r[inst.Rd] = word.FromInt(int64(p.Perm()))
 	case isa.GETLEN:
 		p, err := core.Decode(r[inst.Ra])
 		if err != nil {
 			m.fault(t, err)
-			return
+			return false
 		}
 		r[inst.Rd] = word.FromInt(int64(p.LogLen()))
 	case isa.MOVIP:
@@ -628,54 +533,74 @@ func (m *Machine) dispatch(t *Thread, inst isa.Inst) {
 		r[inst.Rd] = word.FromInt(int64(math.Float64frombits(r[inst.Ra].Uint())))
 	}
 
-	if m.advance(t) {
+	if proven {
+		t.IP = core.UncheckedAdvance(t.IP, word.BytesPerWord)
+		m.retire(t)
+	} else if m.advance(t) {
 		m.retire(t)
 	}
+	return false
 }
 
-// effectiveAddress performs the full pre-issue check sequence of
-// Sec 2.2 for a word load or store: decode the pointer operand, apply
-// the displacement with a bounds-checked LEA, check the permission and
-// the access span, and require natural alignment. After it succeeds
-// "the access is guaranteed not to cause a protection violation".
-func (m *Machine) effectiveAddress(t *Thread, inst isa.Inst, write bool) (core.Pointer, bool) {
-	return m.effectiveAddressSized(t, inst, write, word.BytesPerWord)
+// noAddr is what effectiveAddress returns for an access that faulted:
+// addresses are 54 bits wide, so no access can reach it.
+const noAddr = ^uint64(0)
+
+// effectiveAddress returns the address the load or store inst accesses,
+// or noAddr after raising its fault. A proven access skips the checks:
+// its address is the one the checked sequence computes when nothing
+// faults — the base register's address field plus the displacement,
+// wrapped to 54 bits. The wrapper stays small enough to inline, so the
+// proven path costs no call.
+func (m *Machine) effectiveAddress(t *Thread, inst *isa.Inst, proven bool) uint64 {
+	if proven {
+		return (t.Regs[inst.Ra].Bits + uint64(inst.Imm)) & core.AddrMask
+	}
+	return m.checkedAddress(t, inst)
 }
 
-// effectiveAddressSized is effectiveAddress for an access of the given
-// size in bytes; byte accesses (size 1) have no alignment requirement,
-// which is how single-byte segments become usable.
-func (m *Machine) effectiveAddressSized(t *Thread, inst isa.Inst, write bool, size uint64) (core.Pointer, bool) {
+// checkedAddress performs the full pre-issue check sequence of Sec 2.2
+// for a load or store: decode the pointer operand, apply the
+// displacement with a bounds-checked LEA, check the permission and the
+// span of the word or byte accessed, and require natural alignment
+// (byte accesses have none, which is how single-byte segments become
+// usable). After it succeeds "the access is guaranteed not to cause a
+// protection violation".
+func (m *Machine) checkedAddress(t *Thread, inst *isa.Inst) uint64 {
+	size := uint64(word.BytesPerWord)
+	if inst.Op == isa.LDB || inst.Op == isa.STB {
+		size = 1
+	}
 	addrWord := t.Regs[inst.Ra]
 	if inst.Imm != 0 {
 		p, err := core.Decode(addrWord)
 		if err != nil {
 			m.fault(t, err)
-			return core.Pointer{}, false
+			return noAddr
 		}
 		p, err = core.LEA(p, inst.Imm)
 		if err != nil {
 			m.fault(t, err)
-			return core.Pointer{}, false
+			return noAddr
 		}
 		addrWord = p.Word()
 	}
 	var p core.Pointer
 	var err error
-	if write {
+	if inst.Op == isa.ST || inst.Op == isa.STB {
 		p, err = core.CheckStore(addrWord, size)
 	} else {
 		p, err = core.CheckLoad(addrWord, size)
 	}
 	if err != nil {
 		m.fault(t, err)
-		return core.Pointer{}, false
+		return noAddr
 	}
 	if p.Addr()%size != 0 {
 		m.fault(t, &core.Fault{Code: core.FaultBounds, Op: "MEM", Msg: "unaligned access"})
-		return core.Pointer{}, false
+		return noAddr
 	}
-	return p, true
+	return p.Addr()
 }
 
 // branch moves the IP by imm instructions relative to the *next*

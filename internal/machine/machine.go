@@ -177,16 +177,17 @@ const pendingSentinel = ^uint64(0)
 // watchdog).
 const NeverDone = ^uint64(0)
 
-// pendingRemote records a remote access issued during Step for
-// completion at the multicomputer's cycle barrier. cycle is the issue
-// cycle, replayed as m.now during service so every latency computation
-// matches an access performed immediately.
+// pendingRemote is one remote access (exec.go, remote): parked during
+// Step for completion at the multicomputer's cycle barrier, or completed
+// at once. cycle is the issue cycle, replayed as m.now during service so
+// every latency computation matches an access performed immediately. rd
+// is a load's destination register, val a store's value.
 type pendingRemote struct {
 	kind  remoteKind
 	t     *Thread
 	addr  uint64
 	val   word.Word
-	inst  isa.Inst
+	rd    int
 	cycle uint64
 }
 

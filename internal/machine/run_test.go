@@ -343,19 +343,32 @@ sweep:
 // BenchmarkRun measures Run on the default 4×4 machine: one thread in
 // an ALU loop (fifteen empty slots, three empty clusters), and eight
 // threads in eight domains streaming past the cache, where most
-// cluster-cycles are idle. One op is Run(4096); sim-instr/s is the
-// comparable figure. Run must not allocate.
+// cluster-cycles are idle. The -jit rows run the same programs under
+// the translator: the lone ALU thread runs whole compiled blocks per
+// Step, the eight streams step through theirs one instruction per
+// cycle. One op is Run(4096); sim-instr/s is the comparable figure.
+// Run must not allocate.
 func BenchmarkRun(b *testing.B) {
-	b.Run("alu-1thread", func(b *testing.B) { benchRun(b, runALU, 1) })
-	b.Run("stream-8domains", func(b *testing.B) { benchRun(b, runStream, 8) })
+	b.Run("alu-1thread", func(b *testing.B) { benchRun(b, runALU, 1, false) })
+	b.Run("stream-8domains", func(b *testing.B) { benchRun(b, runStream, 8, false) })
+	b.Run("alu-1thread-jit", func(b *testing.B) { benchRun(b, runALU, 1, true) })
+	b.Run("stream-8domains-jit", func(b *testing.B) { benchRun(b, runStream, 8, true) })
 }
 
-func benchRun(b *testing.B, src string, threads int) {
+func benchRun(b *testing.B, src string, threads int, useJIT bool) {
 	m, err := New(MMachine())
 	if err != nil {
 		b.Fatal(err)
 	}
+	if useJIT {
+		m.EnableJIT(jit.DefaultConfig())
+	}
 	ip := loadAt(b, m, src, 0x10000, false)
+	if useJIT {
+		// Every thread enters at the first word with only r1 set: the
+		// verifier's entry contract.
+		m.JITRegister(mustAssemble(src), 0x10000, capverify.Config{DataBytes: 1 << runSegLog})
+	}
 	for i := 0; i < threads; i++ {
 		seg := dataSeg(b, m, 0x100000+uint64(i)<<runSegLog, runSegLog)
 		th, err := m.AddThread(i)
@@ -367,9 +380,12 @@ func benchRun(b *testing.B, src string, threads int) {
 		}
 		th.SetReg(1, seg.Word())
 	}
-	m.Run(1 << 16) // warm the TLB and cache
+	m.Run(1 << 16) // warm the TLB and cache, and compile
 	if a := testing.AllocsPerRun(100, func() { m.Run(4096) }); a != 0 {
 		b.Fatalf("Run allocates %v times per call, want 0", a)
+	}
+	if useJIT && m.JIT().Counters.Entries == 0 {
+		b.Fatalf("translator never engaged: %+v", m.JIT().Counters)
 	}
 	before := m.Stats().Instructions
 	b.ReportAllocs()

@@ -89,3 +89,24 @@ func (t *Thread) Done() bool { return t.State == Halted || t.State == Faulted }
 // BlockUntil parks the thread until the given cycle (kernel services
 // use it to charge fault-handling time). The caller sets State.
 func (t *Thread) BlockUntil(cycle uint64) { t.blockedUntil = cycle }
+
+// FingerprintThreads hashes the architectural outcome of a thread set:
+// per thread its ID, run state, retired-instruction count, IP address
+// and full register file (bits and tag). Timing — cycle counts,
+// latencies — is deliberately excluded, so runs that did the same work
+// at different speeds agree: the fault campaigns classify delay-only
+// faults as masked by it, and the tier differentials compare the
+// interpreter with compiled blocks by it.
+func FingerprintThreads(threads []*Thread) uint64 {
+	h := word.NewHash()
+	for _, t := range threads {
+		h.Mix(uint64(t.ID))
+		h.Mix(uint64(t.State))
+		h.Mix(t.Instret)
+		h.Mix(t.IP.Addr())
+		for _, r := range t.Regs {
+			h.MixWord(r)
+		}
+	}
+	return uint64(h)
+}

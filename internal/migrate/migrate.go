@@ -9,6 +9,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/persist"
 	"repro/internal/telemetry"
+	"repro/internal/word"
 )
 
 // Config parameterizes one migration.
@@ -158,21 +159,12 @@ func (m *Metrics) Note(rep *Report) {
 
 // pageHash fingerprints one page image's content (bits and tags).
 func pageHash(img kernel.PageImage) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	mix(img.Frame)
+	h := word.NewHash()
+	h.Mix(img.Frame)
 	for _, w := range img.Words {
-		mix(w.Bits)
-		if w.Tag {
-			mix(1)
-		} else {
-			mix(0)
-		}
+		h.MixWord(w)
 	}
-	return h
+	return uint64(h)
 }
 
 // source tracks what the standby already holds, by content hash. The
@@ -254,25 +246,21 @@ func (s *source) note(cp *kernel.Checkpoint) {
 
 // FingerprintImage hashes a checkpoint's architectural content,
 // insensitive to page and map ordering — the handshake value both ends
-// of the cutover barrier must agree on. Like the fault campaign's
-// thread fingerprint it covers state, not timing.
+// of the cutover barrier must agree on. Like machine.FingerprintThreads
+// it covers state, not timing.
 func FingerprintImage(cp *kernel.Checkpoint) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	mix(cp.RegionBase)
-	mix(uint64(cp.RegionLog))
-	mix(uint64(cp.NextDomain))
+	h := word.NewHash()
+	h.Mix(cp.RegionBase)
+	h.Mix(uint64(cp.RegionLog))
+	h.Mix(uint64(cp.NextDomain))
 	segs := make([]uint64, 0, len(cp.Segments))
 	for base := range cp.Segments {
 		segs = append(segs, base)
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	for _, base := range segs {
-		mix(base)
-		mix(uint64(cp.Segments[base]))
+		h.Mix(base)
+		h.Mix(uint64(cp.Segments[base]))
 	}
 	revs := make([]uint64, 0, len(cp.Revoked))
 	for base, on := range cp.Revoked {
@@ -282,7 +270,7 @@ func FingerprintImage(cp *kernel.Checkpoint) uint64 {
 	}
 	sort.Slice(revs, func(i, j int) bool { return revs[i] < revs[j] })
 	for _, base := range revs {
-		mix(base)
+		h.Mix(base)
 	}
 	hashPages := func(imgs []kernel.PageImage) {
 		idx := make([]int, len(imgs))
@@ -291,27 +279,22 @@ func FingerprintImage(cp *kernel.Checkpoint) uint64 {
 		}
 		sort.Slice(idx, func(a, b int) bool { return imgs[idx[a]].VAddr < imgs[idx[b]].VAddr })
 		for _, i := range idx {
-			mix(imgs[i].VAddr)
-			mix(pageHash(imgs[i]))
+			h.Mix(imgs[i].VAddr)
+			h.Mix(pageHash(imgs[i]))
 		}
 	}
 	hashPages(cp.Resident)
 	hashPages(cp.Swapped)
 	for _, t := range cp.Threads {
-		mix(uint64(t.Domain))
-		mix(uint64(t.State))
-		mix(t.Instret)
-		mix(t.IPWord.Bits)
+		h.Mix(uint64(t.Domain))
+		h.Mix(uint64(t.State))
+		h.Mix(t.Instret)
+		h.Mix(t.IPWord.Bits)
 		for _, r := range t.Regs {
-			mix(r.Bits)
-			if r.Tag {
-				mix(1)
-			} else {
-				mix(0)
-			}
+			h.MixWord(r)
 		}
 	}
-	return h
+	return uint64(h)
 }
 
 // --- standby receiver ---------------------------------------------------

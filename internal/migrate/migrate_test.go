@@ -56,31 +56,6 @@ func testWorkload(t testing.TB) (*kernel.Kernel, machine.Config) {
 	return k, cfg
 }
 
-// fpThreads is the repo's architectural thread fingerprint (state,
-// IP, instret, registers; timing excluded).
-func fpThreads(threads []*machine.Thread) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	for _, t := range threads {
-		mix(uint64(t.ID))
-		mix(uint64(t.State))
-		mix(t.Instret)
-		mix(t.IP.Addr())
-		for _, r := range t.Regs {
-			mix(r.Bits)
-			if r.Tag {
-				mix(1)
-			} else {
-				mix(0)
-			}
-		}
-	}
-	return h
-}
-
 // fast wire so pre-copy rounds step the source only a few dozen cycles.
 func testLinkCfg() LinkConfig {
 	return LinkConfig{LatencyCycles: 4, BytesPerCycle: 1024, RetransmitTimeout: 16}
@@ -96,7 +71,7 @@ func referenceFP(t *testing.T) uint64 {
 	if !k.M.Done() {
 		t.Fatal("reference run did not finish")
 	}
-	return fpThreads(k.M.Threads())
+	return machine.FingerprintThreads(k.M.Threads())
 }
 
 // TestMigrateCommit is the tentpole differential: a node migrated
@@ -136,7 +111,7 @@ func TestMigrateCommit(t *testing.T) {
 	if !k2.M.Done() {
 		t.Fatal("standby run did not finish")
 	}
-	if got := fpThreads(k2.M.Threads()); got != refFP {
+	if got := machine.FingerprintThreads(k2.M.Threads()); got != refFP {
 		t.Fatalf("standby fingerprint %016x != reference %016x", got, refFP)
 	}
 }
@@ -195,7 +170,7 @@ func TestMigrateAbortInvariance(t *testing.T) {
 			t.Fatalf("round %d: aborted source diverged from never-migrated twin", round)
 		}
 		k.Run(10_000_000)
-		if !k.M.Done() || fpThreads(k.M.Threads()) != refFP {
+		if !k.M.Done() || machine.FingerprintThreads(k.M.Threads()) != refFP {
 			t.Fatalf("round %d: aborted source did not complete with reference fingerprint", round)
 		}
 	}
@@ -215,7 +190,7 @@ func TestMigrateAbortInvariance(t *testing.T) {
 		t.Fatalf("cutover abort: committed=%v standbyAborted=%v", rep.Committed, recv.Aborted())
 	}
 	k.Run(10_000_000)
-	if !k.M.Done() || fpThreads(k.M.Threads()) != refFP {
+	if !k.M.Done() || machine.FingerprintThreads(k.M.Threads()) != refFP {
 		t.Fatal("mid-cutover abort: source did not complete with reference fingerprint")
 	}
 }
@@ -262,7 +237,7 @@ func TestMigrateLossyLinkRecovers(t *testing.T) {
 		t.Fatalf("restore: %v", err)
 	}
 	k2.Run(10_000_000)
-	if !k2.M.Done() || fpThreads(k2.M.Threads()) != refFP {
+	if !k2.M.Done() || machine.FingerprintThreads(k2.M.Threads()) != refFP {
 		t.Fatal("lossy-link migration diverged")
 	}
 }
@@ -287,7 +262,7 @@ func TestMigrateStandbyCrashAborts(t *testing.T) {
 		t.Fatalf("want LinkError, got %v", err)
 	}
 	k.Run(10_000_000)
-	if !k.M.Done() || fpThreads(k.M.Threads()) != refFP {
+	if !k.M.Done() || machine.FingerprintThreads(k.M.Threads()) != refFP {
 		t.Fatal("source damaged by standby crash")
 	}
 }

@@ -80,3 +80,32 @@ const BytesPerWord = 8
 // one bit per 64+1. The paper rounds this to "a 1.5% increase in the
 // amount of memory required by the system" (Sec 4.1).
 const TagOverheadRatio = 1.0 / 65.0
+
+// Hash is a running word-wise FNV-1a hash: Mix XORs in a whole 64-bit
+// value and multiplies by the 64-bit FNV prime. (hash/fnv mixes bytes,
+// so it gives different values.) The repository's architectural
+// fingerprints — machine.FingerprintThreads, migrate.FingerprintImage —
+// are built on it and recorded results hash them, so neither the seed
+// nor any caller's mixing order may change.
+type Hash uint64
+
+// NewHash returns an empty hash. Its seed, 1469598103934665603, is one
+// digit short of FNV's 64-bit offset basis; it stays because recorded
+// fingerprints were computed with it.
+func NewHash() Hash { return 1469598103934665603 }
+
+// Mix folds v into h.
+func (h *Hash) Mix(v uint64) {
+	*h ^= Hash(v)
+	*h *= 1099511628211
+}
+
+// MixWord folds a tagged word into h: its bits, then 1 or 0 for its tag.
+func (h *Hash) MixWord(w Word) {
+	h.Mix(w.Bits)
+	if w.Tag {
+		h.Mix(1)
+	} else {
+		h.Mix(0)
+	}
+}

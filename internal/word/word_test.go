@@ -98,3 +98,20 @@ func TestIntNegative(t *testing.T) {
 		t.Errorf("Uint() = %#x", w.Uint())
 	}
 }
+
+// TestHashPinned pins Hash to the values recorded fingerprints were
+// computed with: seed, prime, word-wise mixing, and the tag as a
+// trailing 1 or 0.
+func TestHashPinned(t *testing.T) {
+	h := NewHash()
+	h.Mix(1)
+	h.Mix(2)
+	h.MixWord(Tagged(3))
+	h.MixWord(FromUint(0xdeadbeef))
+	if got := uint64(h); got != 0x71c5cb80a4f98233 {
+		t.Fatalf("hash = %#x, want 0x71c5cb80a4f98233", got)
+	}
+	if NewHash() != 1469598103934665603 {
+		t.Fatalf("seed = %d", NewHash())
+	}
+}

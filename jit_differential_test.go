@@ -105,32 +105,6 @@ type diffOutcome struct {
 	counters jit.Counters // zero for interpreter runs
 }
 
-// fingerprintThreads replicates faultinject's architectural FNV-1a
-// fingerprint (the function is unexported there): per-thread ID, state,
-// instret, IP address and full register file.
-func fingerprintThreads(threads []*machine.Thread) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	for _, t := range threads {
-		mix(uint64(t.ID))
-		mix(uint64(t.State))
-		mix(t.Instret)
-		mix(t.IP.Addr())
-		for _, r := range t.Regs {
-			mix(r.Bits)
-			if r.Tag {
-				mix(1)
-			} else {
-				mix(0)
-			}
-		}
-	}
-	return h
-}
-
 // runDiff boots the mmsim harness (one user thread, 4KB scratch segment
 // in r1) and runs prog to the cycle budget.
 func runDiff(t *testing.T, prog *asm.Program, useJIT bool) diffOutcome {
@@ -159,7 +133,7 @@ func runDiff(t *testing.T, prog *asm.Program, useJIT bool) diffOutcome {
 	}
 	k.Run(5_000_000)
 	out := diffOutcome{
-		fp:    fingerprintThreads(k.M.Threads()),
+		fp:    machine.FingerprintThreads(k.M.Threads()),
 		stats: k.M.Stats(),
 		cache: k.M.Cache.Stats(),
 		tlb:   k.M.Space.TLB.Stats(),
