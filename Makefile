@@ -1,9 +1,9 @@
 # Developer entry points. `make check` is the tier-1 gate: formatting,
 # vet, the full test suite, the benchmark module's golden-digest tests,
 # and a race-detector pass over every package with concurrency: the
-# telemetry layer's lock-free fast paths, the parallel multicomputer
-# scheduler's determinism tests, the experiment worker pool, and the
-# fault-injection campaign pool.
+# telemetry layer's lock-free fast paths, the experiment worker pool,
+# and the fault-injection campaign pool. The multicomputer steps its
+# nodes on one goroutine, so it has no race pass.
 
 GO ?= go
 
@@ -53,18 +53,17 @@ bench-test:
 
 race:
 	$(GO) test -race ./internal/telemetry/
-	$(GO) test -race -run 'TestParallelRun|TestDeferredRemote|TestWatchdog' ./internal/multi/ ./internal/machine/
 	$(GO) test -race -run 'TestParallelRender' ./internal/experiments/
 	$(GO) test -race -run 'TestCampaignDeterministic|TestTolerantCampaignDeterministic' ./internal/faultinject/
 	$(GO) test -race -run 'TestJITDifferentialCorpus' .
-	$(GO) test -race -run 'TestJITMatchesInterpreterAcrossSchedulers' ./internal/multi/
 
 # Compiled-tier differential gate (docs/PERFORMANCE.md): the E27
 # interp-vs-translator census, the root determinism corpus, the
 # translator's own unit tests, the op-by-op proven-vs-checked dispatch
 # property and the SMC and stats invariants in internal/machine,
-# scheduler invariance on the mesh, the verifier's per-site table
-# contract, and the mmsim CLI byte-identity / -verify refusal tests.
+# interpreter/translator agreement on the mesh, the verifier's per-site
+# table contract, and the mmsim CLI byte-identity / -verify refusal
+# tests.
 jit:
 	$(GO) run ./cmd/experiments -run E27
 	$(GO) test -run 'TestJITDifferentialCorpus' .
@@ -119,9 +118,9 @@ persist:
 
 # Live-migration gate (docs/ROBUSTNESS.md): the E29 differential +
 # dirty-rate sweep + migration fault campaign, the wire protocol and
-# pre-copy unit tests, abort-invariance on the mesh (serial and
-# parallel schedulers), the migration fault classes in the campaign
-# harness, the Prune retention property, and the mmsim
+# pre-copy unit tests, abort-invariance on the mesh and the cycle count
+# Run reports across a migration, the migration fault classes in the
+# campaign harness, the Prune retention property, and the mmsim
 # -migrate-at/-migrate-to/-checkpoint-ls CLI flow.
 migrate:
 	$(GO) run ./cmd/experiments -run E29
@@ -146,11 +145,12 @@ bench-migrate:
 		| $(GO) run ./cmd/benchjson -o BENCH_migrate.json
 
 # Hot-path benchmarks (docs/PERFORMANCE.md). Updates the "current"
-# sections of BENCH_hotpath.json (interpreter; the CycleLoop anchor
-# keeps the JIT rows out) and BENCH_jit.json (compiled tier); the
-# checked-in "baseline" numbers are preserved.
+# sections of BENCH_hotpath.json (interpreter, plus the mesh's Run row
+# in internal/multi; the CycleLoop anchor keeps the JIT rows out) and
+# BENCH_jit.json (compiled tier); the checked-in "baseline" numbers are
+# preserved.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMachine_CycleLoop$$|BenchmarkMulti_Run8Nodes' -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkMachine_CycleLoop$$|BenchmarkRun$$' -benchmem . ./internal/multi/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_hotpath.json
 	$(GO) test -run '^$$' -bench 'BenchmarkMachine_CycleLoopJIT' -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_jit.json

@@ -569,8 +569,8 @@ func BenchmarkE21_SoftwareSwitch(b *testing.B) {
 // simulated instructions per host-second. BenchmarkMachine_CycleLoop
 // steps a single-cluster machine through a non-terminating workload so
 // the steady-state fetch/decode/execute path is isolated (0 allocs/op
-// is the hit-path contract); BenchmarkMulti_Run8Nodes runs the 8-node
-// multicomputer to completion under the serial and parallel schedulers.
+// is the hit-path contract). The mesh's row is BenchmarkRun in
+// internal/multi.
 
 // hotpathFib is an ALU/branch loop: fetch + decode dominate.
 const hotpathFib = `
@@ -667,78 +667,4 @@ func BenchmarkMachine_CycleLoop(b *testing.B) {
 func BenchmarkMachine_CycleLoopJIT(b *testing.B) {
 	b.Run("fib", func(b *testing.B) { benchCycleLoop(b, hotpathFib, 0, true) })
 	b.Run("sweep", func(b *testing.B) { benchCycleLoop(b, hotpathSweep, 4096, true) })
-}
-
-// hotpathNode mixes local compute with a remote load every 16th
-// iteration (r2 holds a pointer into the next node's slice of the
-// address space) — the cross-node traffic pattern the parallel
-// scheduler must serialize deterministically.
-const hotpathNode = `
-	ldi  r3, 20000
-	ldi  r7, 15
-loop:
-	add  r5, r5, r3
-	and  r6, r3, r7
-	bnez r6, skip
-	ld   r8, r2, 0
-skip:
-	subi r3, r3, 1
-	bnez r3, loop
-	halt
-`
-
-func benchMulti8(b *testing.B, parallel bool) {
-	b.Helper()
-	prog := mustAssemble(hotpathNode)
-	b.ReportAllocs()
-	var instr uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := multi.DefaultConfig()
-		cfg.Node.PhysBytes = 1 << 20
-		cfg.Serial = !parallel
-		s, err := multi.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var segs []word.Word
-		for _, n := range s.Nodes {
-			seg, err := n.K.AllocSegment(4096)
-			if err != nil {
-				b.Fatal(err)
-			}
-			segs = append(segs, seg.Word())
-		}
-		for nid, n := range s.Nodes {
-			ip, err := n.K.LoadProgram(prog, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := n.K.Spawn(1, ip, map[int]word.Word{2: segs[(nid+1)%len(s.Nodes)]}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StartTimer()
-		s.Run(100_000_000)
-		b.StopTimer()
-		for _, n := range s.Nodes {
-			for _, th := range n.K.M.Threads() {
-				if th.State != machine.Halted {
-					b.Fatalf("node %d: %v %v", n.ID, th.State, th.Fault)
-				}
-			}
-			instr += n.K.M.Stats().Instructions
-		}
-		b.StartTimer()
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(instr)/sec, "sim-instr/s")
-	}
-}
-
-func BenchmarkMulti_Run8Nodes(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchMulti8(b, false) })
-	b.Run("parallel", func(b *testing.B) { benchMulti8(b, true) })
 }

@@ -147,11 +147,11 @@ func (m *Machine) remote(kind remoteKind, t *Thread, addr uint64, val word.Word,
 }
 
 // ServiceRemote completes every remote access parked during Step. The
-// multicomputer calls it at the per-cycle barrier, visiting nodes in id
-// order, so cross-node traffic is serialized identically whether the
-// nodes stepped serially or in parallel. Each access replays with the
-// cycle stamp of its issue (m.now), so latencies, blocking, and traces
-// match an inline access exactly.
+// multicomputer calls it at the end of each cycle, visiting nodes in id
+// order, so cross-node traffic is serialized in one order however the
+// nodes' steps were ordered. Each access replays with the cycle stamp
+// of its issue (m.now), so latencies, blocking, and traces match an
+// inline access exactly.
 func (m *Machine) ServiceRemote() {
 	if len(m.pending) == 0 {
 		return

@@ -232,10 +232,11 @@ type Machine struct {
 
 	// DeferRemote, when set (the multicomputer sets it), makes remote
 	// accesses enqueue onto pending instead of calling Remote inline;
-	// ServiceRemote completes them at the cycle barrier. This is what
-	// lets nodes of a multicomputer step concurrently and still produce
-	// bit-identical results: all cross-node traffic is serialized at one
-	// point, in one order.
+	// ServiceRemote completes them at the end of the cycle. This fixes
+	// when cross-node effects happen: after every node has stepped the
+	// cycle, in one order, so no node's step sees another node's
+	// accesses of the same cycle and the outcome does not depend on the
+	// order in which nodes step.
 	DeferRemote bool
 	servicing   bool
 	pending     []pendingRemote

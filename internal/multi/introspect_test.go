@@ -47,7 +47,7 @@ func TestNodeMetricsNamespaced(t *testing.T) {
 // TestNodeMetricsSurviveRestore: after an auto-recovery the node.<id>.*
 // samplers must read the restored kernels, not the discarded ones.
 func TestNodeMetricsSurviveRestore(t *testing.T) {
-	s, th, _ := watchdogSystem(t, true, 400)
+	s, th, _ := watchdogSystem(t, 400)
 	s.cfg.CheckpointEvery = 100
 	s.cfg.AutoRecover = true
 	reg := telemetry.NewRegistry()
@@ -94,43 +94,33 @@ func spanTrace(tr *telemetry.Tracer) string {
 
 // TestSpansDeterministicAndFree: with spans enabled, (a) the machine
 // fingerprint is byte-identical to the spans-off baseline — tracing
-// must not change timing — and (b) the serial and parallel schedulers
-// produce the identical span stream, ids included.
+// must not change timing — and (b) two identical runs produce the
+// identical span stream, ids included.
 func TestSpansDeterministicAndFree(t *testing.T) {
-	baseline := runCrossNodeWorkload(t, true, 0)
+	_, baseline, baseMem := runCrossNode(t, crossNodeCase{name: "baseline", trips: 4})
+	spansOn := crossNodeCase{name: "spans", trips: 4, spans: true}
+	x, traced, tracedMem := runCrossNode(t, spansOn)
+	_, again, _ := runCrossNode(t, spansOn)
 
-	var serialTr, parTr *telemetry.Tracer
-	mk := func(dst **telemetry.Tracer) func(*System) {
-		return func(s *System) {
-			tr := telemetry.NewTracer(1 << 16)
-			tr.Enable(telemetry.EvSpanBegin, telemetry.EvSpanEnd)
-			s.EnableSpans(tr)
-			*dst = tr
-		}
-	}
-	serial := runCrossNodeWorkloadWith(t, true, 0, mk(&serialTr))
-	parallel := runCrossNodeWorkloadWith(t, false, 4, mk(&parTr))
-
-	for name, fp := range map[string]fingerprint{"serial": serial, "parallel": parallel} {
-		if fp.cycles != baseline.cycles || fp.sys != baseline.sys ||
-			fp.net != baseline.net || fp.threads != baseline.threads ||
-			fp.memory != baseline.memory {
-			t.Errorf("enabling spans changed the %s run:\nbaseline %+v\nspans    %+v", name, baseline.sys, fp.sys)
-		}
-	}
-	st, pt := spanTrace(serialTr), spanTrace(parTr)
-	if st == "" {
+	if traced.spans == "" {
 		t.Fatal("no span events recorded")
 	}
-	if st != pt {
-		t.Errorf("span streams diverge:\nserial:\n%.600s\nparallel:\n%.600s", st, pt)
+	if traced.spans != again.spans {
+		t.Errorf("span streams diverge between identical runs:\n%.600s\nvs\n%.600s", traced.spans, again.spans)
+	}
+	traced.spans = ""
+	if d := diff(baseline, traced); d != "" {
+		t.Errorf("enabling spans changed the run: %s", d)
+	}
+	if baseMem != tracedMem {
+		t.Errorf("enabling spans changed memory:\n%s\nvs\n%s", baseMem, tracedMem)
 	}
 
 	// Structural checks: every root span that ended has matching ids,
 	// every leg names a live parent.
 	begun := map[uint64]telemetry.Event{}
 	legs, roots, ended := 0, 0, 0
-	for _, ev := range serialTr.Events() {
+	for _, ev := range x.tr.Events() {
 		switch ev.Kind {
 		case telemetry.EvSpanBegin:
 			begun[ev.Span] = ev
@@ -166,7 +156,7 @@ func TestSpansDeterministicAndFree(t *testing.T) {
 // watchdog reason, and FlightDump must emit one parseable JSONL
 // section per node plus the mesh section.
 func TestFlightDumpOnWatchdog(t *testing.T) {
-	s, _, _ := watchdogSystem(t, true, 300)
+	s, _, _ := watchdogSystem(t, 300)
 	s.EnableFlight(64)
 	var reasons []string
 	s.OnFlightDump = func(reason string) { reasons = append(reasons, reason) }

@@ -1,134 +1,25 @@
 package multi
 
-import (
-	"fmt"
-	"testing"
+import "testing"
 
-	"repro/internal/capverify"
-	"repro/internal/core"
-	"repro/internal/machine"
-	"repro/internal/word"
-)
-
-// runCrossNodeHot is the determinism workload with a trip count high
-// enough to cross the translator's compile threshold, optionally run
-// with Config.JIT. Nodes run compiled blocks in paced mode — one step
-// per cycle — so the barrier schedule is untouched; the fingerprint
-// must not depend on the tier, the scheduler, or the worker count.
-func runCrossNodeHot(t *testing.T, serial bool, workers int, useJIT bool) fingerprint {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Node.PhysBytes = 1 << 20
-	cfg.Serial = serial
-	cfg.Workers = workers
-	cfg.JIT = useJIT
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestJITMatchesInterpreter: enabling the translator on the
+// multicomputer must leave the entire fingerprint — cycles, machine,
+// cache, TLB and network counters, registers, memory — bit-identical
+// to the interpreter. The trip count crosses the translator's compile
+// threshold; nodes run compiled blocks in paced mode, one step per
+// cycle, so the cycle schedule is untouched.
+func TestJITMatchesInterpreter(t *testing.T) {
+	_, base, baseMem := runCrossNode(t, crossNodeCase{name: "interp", trips: 200})
+	x, got, gotMem := runCrossNode(t, crossNodeCase{name: "jit", trips: 200, jit: true})
+	if d := diff(base, got); d != "" {
+		t.Errorf("jit diverges from the interpreter: %s", d)
 	}
-	n := len(s.Nodes)
-	segs := make([]core.Pointer, n)
-	for i, nd := range s.Nodes {
-		p, err := nd.K.AllocSegment(4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs[i] = p
+	if baseMem != gotMem {
+		t.Errorf("memory diverges:\nbase:\n%sgot:\n%s", baseMem, gotMem)
 	}
-	prog := mustAssemble(`
-		ldi r3, 0          ; accumulator
-	loop:
-		st  r1, 0, r2      ; remote store of the loop counter
-		ld  r4, r1, 0      ; remote load back
-		add r3, r3, r4
-		st  r1, 8, r3      ; second remote word: the running sum
-		subi r2, r2, 1
-		bnez r2, loop
-		halt
-	`)
-	var ths []*machine.Thread
-	for i, nd := range s.Nodes {
-		ip, err := nd.K.LoadProgram(prog, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		th, err := nd.K.Spawn(1, ip, map[int]word.Word{
-			1: segs[(i+1)%n].Word(),           // ring successor's segment
-			2: word.FromInt(int64(200 + i%3)), // hot, staggered trip counts
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The loader satisfies capverify's entry contract: r1 is an RW
-		// pointer to a 4096-byte segment; everything else the verifier
-		// treats as unknown.
-		nd.K.M.JITRegister(prog, ip.Addr(), capverify.Config{DataBytes: 4096})
-		ths = append(ths, th)
-	}
-	fp := fingerprint{cycles: s.Run(400000), sys: s.Stats(), net: s.Net.Stats()}
-	for _, nd := range s.Nodes {
-		fp.nodeStats = append(fp.nodeStats, nd.K.M.Stats())
-	}
-	for i, th := range ths {
-		if th.State != machine.Halted {
-			t.Fatalf("serial=%v jit=%v: node %d thread %v fault=%v", serial, useJIT, i, th.State, th.Fault)
-		}
-		fp.threads += fmt.Sprintf("%d: %v instret=%d regs=%v\n", i, th.State, th.Instret, th.Regs)
-	}
-	for i, nd := range s.Nodes {
-		home := segs[i].Base()
-		for off := uint64(0); off < 16; off += 8 {
-			w, err := nd.K.M.Space.ReadWord(home + off)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fp.memory += fmt.Sprintf("%d+%d: %v\n", i, off, w)
-		}
-	}
-	if useJIT {
-		for i, nd := range s.Nodes {
-			c := nd.K.M.JIT().Counters
-			if c.Compiled == 0 || c.Entries == 0 {
-				t.Fatalf("node %d: translator never engaged: %+v", i, c)
-			}
-		}
-	}
-	return fp
-}
-
-// TestJITMatchesInterpreterAcrossSchedulers: enabling the translator on
-// the multicomputer must leave the entire fingerprint — cycles, machine
-// and network counters, registers, memory — bit-identical to the
-// interpreter, under both the serial and parallel schedulers.
-func TestJITMatchesInterpreterAcrossSchedulers(t *testing.T) {
-	base := runCrossNodeHot(t, true, 0, false)
-	for _, c := range []struct {
-		name           string
-		serial, useJIT bool
-		workers        int
-	}{
-		{"parallel-interp", false, false, 4},
-		{"serial-jit", true, true, 0},
-		{"parallel-jit", false, true, 4},
-	} {
-		got := runCrossNodeHot(t, c.serial, c.workers, c.useJIT)
-		if base.cycles != got.cycles {
-			t.Errorf("%s: cycles %d, want %d", c.name, got.cycles, base.cycles)
-		}
-		if base.sys != got.sys || base.net != got.net {
-			t.Errorf("%s: system/network stats diverge:\nbase %+v %+v\ngot  %+v %+v",
-				c.name, base.sys, base.net, got.sys, got.net)
-		}
-		for i := range base.nodeStats {
-			if base.nodeStats[i] != got.nodeStats[i] {
-				t.Errorf("%s: node %d stats:\nbase %+v\ngot  %+v", c.name, i, base.nodeStats[i], got.nodeStats[i])
-			}
-		}
-		if base.threads != got.threads {
-			t.Errorf("%s: thread state diverges:\nbase:\n%sgot:\n%s", c.name, base.threads, got.threads)
-		}
-		if base.memory != got.memory {
-			t.Errorf("%s: memory diverges:\nbase:\n%sgot:\n%s", c.name, base.memory, got.memory)
+	for i, nd := range x.s.Nodes {
+		if c := nd.K.M.JIT().Counters; c.Compiled == 0 || c.Entries == 0 {
+			t.Fatalf("node %d: translator never engaged: %+v", i, c)
 		}
 	}
 }

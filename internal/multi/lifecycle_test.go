@@ -47,7 +47,7 @@ func TestLifecycleMisuse(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s, _, _ := watchdogSystem(t, true, 0)
+			s, _, _ := watchdogSystem(t, 0)
 			if err := c.op(s); !errors.Is(err, c.want) {
 				t.Fatalf("err = %v, want %v", err, c.want)
 			}
@@ -57,7 +57,7 @@ func TestLifecycleMisuse(t *testing.T) {
 
 // The happy path still works and returns nil errors.
 func TestLifecycleHappyPath(t *testing.T) {
-	s, _, _ := watchdogSystem(t, true, 0)
+	s, _, _ := watchdogSystem(t, 0)
 	if err := s.Kill(1); err != nil {
 		t.Fatal(err)
 	}
@@ -76,48 +76,46 @@ func TestLifecycleHappyPath(t *testing.T) {
 // uninterrupted reference — no caller intervention at all.
 func TestAutoRecoverFromKilledNode(t *testing.T) {
 	for _, victim := range []int{0, 1} {
-		for _, serial := range []bool{true, false} {
-			ref, thRef, _ := watchdogSystem(t, serial, 2000)
-			ref.Run(200_000)
-			if thRef.State != machine.Halted {
-				t.Fatalf("reference: %v %v", thRef.State, thRef.Fault)
-			}
+		ref, thRef, _ := watchdogSystem(t, 2000)
+		ref.Run(200_000)
+		if thRef.State != machine.Halted {
+			t.Fatalf("reference: %v %v", thRef.State, thRef.Fault)
+		}
 
-			s, _, _ := watchdogSystem(t, serial, 2000)
-			s.cfg.CheckpointEvery = 40
-			s.cfg.AutoRecover = true
-			s.OnCycle = func(c uint64) {
-				if c == 100 {
-					if err := s.Kill(victim); err != nil {
-						t.Errorf("kill: %v", err)
-					}
-					s.OnCycle = nil
+		s, _, _ := watchdogSystem(t, 2000)
+		s.cfg.CheckpointEvery = 40
+		s.cfg.AutoRecover = true
+		s.OnCycle = func(c uint64) {
+			if c == 100 {
+				if err := s.Kill(victim); err != nil {
+					t.Errorf("kill: %v", err)
 				}
+				s.OnCycle = nil
 			}
-			s.Run(500_000)
-			if s.Hung() {
-				t.Fatalf("victim=%d serial=%v: auto-recovery left the system hung", victim, serial)
-			}
-			if !s.Done() {
-				t.Fatalf("victim=%d serial=%v: system did not finish", victim, serial)
-			}
-			if s.Restores() == 0 {
-				t.Fatalf("victim=%d serial=%v: no restore performed", victim, serial)
-			}
-			if s.Checkpoints() == 0 {
-				t.Fatalf("victim=%d serial=%v: no checkpoints captured", victim, serial)
-			}
-			th := s.Nodes[0].K.M.Threads()[0]
-			if th.State != machine.Halted {
-				t.Fatalf("victim=%d serial=%v: recovered thread %v %v", victim, serial, th.State, th.Fault)
-			}
-			if th.Instret != thRef.Instret {
-				t.Fatalf("victim=%d serial=%v: instret %d != reference %d", victim, serial, th.Instret, thRef.Instret)
-			}
-			for r := 0; r < 16; r++ {
-				if th.Reg(r) != thRef.Reg(r) {
-					t.Errorf("victim=%d serial=%v r%d: %v != %v", victim, serial, r, th.Reg(r), thRef.Reg(r))
-				}
+		}
+		s.Run(500_000)
+		if s.Hung() {
+			t.Fatalf("victim=%d: auto-recovery left the system hung", victim)
+		}
+		if !s.Done() {
+			t.Fatalf("victim=%d: system did not finish", victim)
+		}
+		if s.Restores() == 0 {
+			t.Fatalf("victim=%d: no restore performed", victim)
+		}
+		if s.Checkpoints() == 0 {
+			t.Fatalf("victim=%d: no checkpoints captured", victim)
+		}
+		th := s.Nodes[0].K.M.Threads()[0]
+		if th.State != machine.Halted {
+			t.Fatalf("victim=%d: recovered thread %v %v", victim, th.State, th.Fault)
+		}
+		if th.Instret != thRef.Instret {
+			t.Fatalf("victim=%d: instret %d != reference %d", victim, th.Instret, thRef.Instret)
+		}
+		for r := 0; r < 16; r++ {
+			if th.Reg(r) != thRef.Reg(r) {
+				t.Errorf("victim=%d r%d: %v != %v", victim, r, th.Reg(r), thRef.Reg(r))
 			}
 		}
 	}
@@ -127,7 +125,7 @@ func TestAutoRecoverFromKilledNode(t *testing.T) {
 // eventually surfaces as Hung instead of cycling through the same
 // checkpoint forever.
 func TestAutoRecoverBudgetBounds(t *testing.T) {
-	s, _, _ := watchdogSystem(t, true, 1000)
+	s, _, _ := watchdogSystem(t, 1000)
 	s.cfg.CheckpointEvery = 40
 	s.cfg.AutoRecover = true
 	s.cfg.MaxRestores = 2
@@ -151,7 +149,7 @@ func TestAutoRecoverBudgetBounds(t *testing.T) {
 // CheckpointNow seeds generation zero before any periodic boundary, so
 // a fault in the first interval is still recoverable.
 func TestCheckpointNowSeedsRing(t *testing.T) {
-	s, _, _ := watchdogSystem(t, true, 2000)
+	s, _, _ := watchdogSystem(t, 2000)
 	s.cfg.AutoRecover = true // no CheckpointEvery: only the manual seed
 	if err := s.CheckpointNow(); err != nil {
 		t.Fatal(err)

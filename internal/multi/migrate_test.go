@@ -29,7 +29,6 @@ func migrateSystem(t *testing.T, mut func(*Config)) (*System, *machine.Thread) {
 	cfg.Node.PhysBytes = 1 << 20
 	cfg.Node.Clusters = 1
 	cfg.Node.SlotsPerCluster = 2
-	cfg.Serial = true
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -122,105 +121,122 @@ func readStoreBytes(t *testing.T, dir string) map[string]string {
 
 // TestMigrateSwapsNodeAndPreservesOutcome: a migration armed mid-run
 // commits, swaps node 0's kernel, and the run completes with the
-// never-migrated architectural outcome — under both schedulers.
+// never-migrated architectural outcome.
 func TestMigrateSwapsNodeAndPreservesOutcome(t *testing.T) {
 	ref, _ := migrateSystem(t, nil)
 	ref.Run(300_000)
 	want := migrateOutcome(t, ref)
 
-	for _, serial := range []bool{true, false} {
-		s, _ := migrateSystem(t, func(c *Config) {
-			c.Serial = serial
-			c.Workers = 2
-			c.MigrateAt = 200
-			c.Migrate = migrate.Config{Link: fastLink()}
-		})
-		before := s.Nodes[0].K
-		s.Run(300_000)
-		rep := s.MigrateReport()
-		if rep == nil || !rep.Committed {
-			t.Fatalf("serial=%v: migration did not commit: %+v", serial, rep)
-		}
-		if s.Nodes[0].K == before {
-			t.Fatalf("serial=%v: kernel not swapped", serial)
-		}
-		if len(rep.Rounds) < 2 {
-			t.Fatalf("serial=%v: no iterative pre-copy: %d rounds", serial, len(rep.Rounds))
-		}
-		if got := migrateOutcome(t, s); got != want {
-			t.Errorf("serial=%v: outcome diverged after migration:\n got %s\nwant %s", serial, got, want)
-		}
-		if s.migrateMetrics.Committed != 1 || s.migrateMetrics.STW.Count() != 1 {
-			t.Fatalf("serial=%v: metrics not recorded: %+v", serial, s.migrateMetrics)
-		}
+	s, _ := migrateSystem(t, func(c *Config) {
+		c.MigrateAt = 200
+		c.Migrate = migrate.Config{Link: fastLink()}
+	})
+	before := s.Nodes[0].K
+	s.Run(300_000)
+	rep := s.MigrateReport()
+	if rep == nil || !rep.Committed {
+		t.Fatalf("migration did not commit: %+v", rep)
+	}
+	if s.Nodes[0].K == before {
+		t.Fatal("kernel not swapped")
+	}
+	if len(rep.Rounds) < 2 {
+		t.Fatalf("no iterative pre-copy: %d rounds", len(rep.Rounds))
+	}
+	if got := migrateOutcome(t, s); got != want {
+		t.Errorf("outcome diverged after migration:\n got %s\nwant %s", got, want)
+	}
+	if s.migrateMetrics.Committed != 1 || s.migrateMetrics.STW.Count() != 1 {
+		t.Fatalf("metrics not recorded: %+v", s.migrateMetrics)
 	}
 }
 
 // TestMigrateAbortInvarianceSystem aborts the armed migration at every
 // round boundary and mid-cutover; each aborted run must be
 // bit-identical — cycles, stats, registers, memory, AND the on-disk
-// persist store — to a run that never migrated. Serial and parallel.
+// persist store — to a run that never migrated.
 func TestMigrateAbortInvarianceSystem(t *testing.T) {
-	for _, serial := range []bool{true, false} {
-		// Reference: never migrated, persist armed.
-		refDir := t.TempDir()
-		ref, _ := migrateSystem(t, func(c *Config) {
-			c.Serial = serial
-			c.Workers = 2
+	// Reference: never migrated, persist armed.
+	refDir := t.TempDir()
+	ref, _ := migrateSystem(t, func(c *Config) {
+		c.CheckpointEvery = 150
+		c.PersistDir = refDir
+	})
+	refCycles := ref.Run(300_000)
+	want := fullFingerprint(t, ref, refCycles)
+	wantStore := readStoreBytes(t, refDir)
+
+	// Probe: how many rounds does a committed migration take here?
+	probe, _ := migrateSystem(t, func(c *Config) {
+		c.MigrateAt = 200
+		c.Migrate = migrate.Config{Link: fastLink()}
+	})
+	probe.Run(300_000)
+	probeRep := probe.MigrateReport()
+	if probeRep == nil || !probeRep.Committed {
+		t.Fatalf("probe migration failed: %+v", probeRep)
+	}
+
+	abortCfgs := map[string]migrate.Config{}
+	for r := 1; r <= len(probeRep.Rounds); r++ {
+		abortCfgs[fmt.Sprintf("round-%d", r)] = migrate.Config{Link: fastLink(), AbortAtRound: r}
+	}
+	abortCfgs["mid-cutover"] = migrate.Config{Link: fastLink(), AbortAtCutover: true}
+
+	for name, mcfg := range abortCfgs {
+		dir := t.TempDir()
+		s, _ := migrateSystem(t, func(c *Config) {
 			c.CheckpointEvery = 150
-			c.PersistDir = refDir
-		})
-		refCycles := ref.Run(300_000)
-		want := fullFingerprint(t, ref, refCycles)
-		wantStore := readStoreBytes(t, refDir)
-
-		// Probe: how many rounds does a committed migration take here?
-		probe, _ := migrateSystem(t, func(c *Config) {
-			c.Serial = serial
-			c.Workers = 2
+			c.PersistDir = dir
 			c.MigrateAt = 200
-			c.Migrate = migrate.Config{Link: fastLink()}
+			c.MigrateNode = 0
+			c.Migrate = mcfg
 		})
-		probe.Run(300_000)
-		probeRep := probe.MigrateReport()
-		if probeRep == nil || !probeRep.Committed {
-			t.Fatalf("serial=%v: probe migration failed: %+v", serial, probeRep)
+		cycles := s.Run(300_000)
+		rep := s.MigrateReport()
+		if rep == nil || rep.Committed {
+			t.Fatalf("%s: expected aborted migration, got %+v", name, rep)
 		}
-
-		abortCfgs := map[string]migrate.Config{}
-		for r := 1; r <= len(probeRep.Rounds); r++ {
-			abortCfgs[fmt.Sprintf("round-%d", r)] = migrate.Config{Link: fastLink(), AbortAtRound: r}
+		if got := fullFingerprint(t, s, cycles); got != want {
+			t.Errorf("%s: aborted run diverged from never-migrated run:\n got %s\nwant %s", name, got, want)
 		}
-		abortCfgs["mid-cutover"] = migrate.Config{Link: fastLink(), AbortAtCutover: true}
+		gotStore := readStoreBytes(t, dir)
+		if len(gotStore) != len(wantStore) {
+			t.Fatalf("%s: store shape differs: %d files vs %d", name, len(gotStore), len(wantStore))
+		}
+		for f, b := range wantStore {
+			if gotStore[f] != b {
+				t.Errorf("%s: store file %s differs after aborted migration", name, f)
+			}
+		}
+	}
+}
 
-		for name, mcfg := range abortCfgs {
-			dir := t.TempDir()
-			s, _ := migrateSystem(t, func(c *Config) {
-				c.Serial = serial
-				c.Workers = 2
-				c.CheckpointEvery = 150
-				c.PersistDir = dir
-				c.MigrateAt = 200
-				c.MigrateNode = 0
-				c.Migrate = mcfg
-			})
-			cycles := s.Run(300_000)
-			rep := s.MigrateReport()
-			if rep == nil || rep.Committed {
-				t.Fatalf("serial=%v %s: expected aborted migration, got %+v", serial, name, rep)
-			}
-			if got := fullFingerprint(t, s, cycles); got != want {
-				t.Errorf("serial=%v %s: aborted run diverged from never-migrated run:\n got %s\nwant %s", serial, name, got, want)
-			}
-			gotStore := readStoreBytes(t, dir)
-			if len(gotStore) != len(wantStore) {
-				t.Fatalf("serial=%v %s: store shape differs: %d files vs %d", serial, name, len(gotStore), len(wantStore))
-			}
-			for f, b := range wantStore {
-				if gotStore[f] != b {
-					t.Errorf("serial=%v %s: store file %s differs after aborted migration", serial, name, f)
-				}
-			}
+// TestMigrateRunReturnsCyclesRun: Run reports the cycles it stepped,
+// not the wire time an armed migration asked for. On a 1 B/cycle link
+// the pre-copy rounds ask for more cycles than the workload has left,
+// and the step hook stops once every thread is done. A round cannot
+// pause, so a small budget runs past its cap.
+func TestMigrateRunReturnsCyclesRun(t *testing.T) {
+	for _, budget := range []uint64{1_000_000, 200} {
+		s, _ := migrateSystem(t, func(c *Config) {
+			c.MigrateAt = 50
+			c.Migrate = migrate.Config{Link: migrate.LinkConfig{BytesPerCycle: 1}}
+		})
+		got := s.Run(budget)
+		rep := s.MigrateReport()
+		if rep == nil || !s.Done() {
+			t.Fatalf("Run(%d): migration report %+v, done=%v", budget, rep, s.Done())
+		}
+		if rep.SteppedCycles <= s.Cycle() {
+			t.Fatalf("Run(%d): pre-copy asked for %d cycles, no more than the %d run, so the case tests nothing",
+				budget, rep.SteppedCycles, s.Cycle())
+		}
+		if got != s.Cycle() {
+			t.Errorf("Run(%d) returned %d, but the system ran %d cycles", budget, got, s.Cycle())
+		}
+		if budget == 200 && s.Cycle() <= budget {
+			t.Errorf("Run(200) stopped at cycle %d: pre-copy no longer steps past the budget", s.Cycle())
 		}
 	}
 }

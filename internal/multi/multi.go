@@ -16,8 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"repro/internal/jit"
 	"repro/internal/kernel"
@@ -53,16 +51,18 @@ type Config struct {
 	// RegionLog is the per-node kernel segment region order (within
 	// the node's 2^NodeShift slice).
 	RegionLog uint
-	// Serial forces Run to step nodes on the calling goroutine
-	// (debugging aid); the default parallel scheduler is bit-identical
-	// to it.
-	Serial bool
-	// Workers bounds the parallel scheduler's worker count; 0 means
-	// min(GOMAXPROCS, nodes).
+	// Workers is ignored: Run steps every node on the calling
+	// goroutine.
+	//
+	// Deprecated: it sized a pool of goroutines that stepped nodes in
+	// lockstep, which ran the mesh 1.8–3.3× slower than one goroutine
+	// at every size from 8 to 256 nodes (docs/PERFORMANCE.md, "Mesh
+	// stepping"). It remains only until the benchmark harness stops
+	// setting it.
 	Workers int
 	// JIT enables the check-eliding superblock translator on every
 	// node's machine (see internal/jit). Nodes run it in paced mode —
-	// one compiled step per cycle, so the lockstep barrier and remote
+	// one compiled step per cycle, so the cycle schedule and remote
 	// delivery order are untouched and results stay bit-identical to
 	// the interpreter. Off by default: the fault-injection campaigns
 	// corrupt state under the verifier's feet, so they keep the
@@ -79,7 +79,7 @@ type Config struct {
 
 	// CheckpointEvery, when non-zero, takes a coordinated checkpoint of
 	// every node's kernel at each multiple of this many cycles — at the
-	// cycle barrier, after remote delivery, so the set is globally
+	// end of the cycle, after remote delivery, so the set is globally
 	// consistent. Generations are kept in a ring of the last
 	// CheckpointKeep. Checkpoints are skipped while any node is dead
 	// (the set would not be consistent).
@@ -144,11 +144,10 @@ type System struct {
 	cfg   Config
 	stats Stats
 
-	// OnCycle, when non-nil, runs after each cycle's barrier delivery
-	// with the completed-cycle count. It executes on the coordinating
-	// goroutine between barriers, so it may safely inspect or mutate
-	// any node (the fault-injection campaigns checkpoint and kill nodes
-	// from here).
+	// OnCycle, when non-nil, runs after each cycle's remote delivery
+	// with the completed-cycle count. It runs between cycles, with no
+	// access in flight, so it may safely inspect or mutate any node (the
+	// fault-injection campaigns checkpoint and kill nodes from here).
 	OnCycle func(cycle uint64)
 
 	// OnRestore, when non-nil, runs after auto-recovery rewires each
@@ -205,17 +204,17 @@ type System struct {
 }
 
 // spanState is the deterministic span-id allocator. IDs are handed out
-// only on the coordinating goroutine — Node.ReadWord/WriteWord run
-// inside ServiceRemote at the cycle barrier, in node-id order — so the
-// id sequence, and with it the whole trace, is identical under the
-// serial and parallel schedulers.
+// only while remote accesses are delivered — Node.ReadWord/WriteWord
+// run inside ServiceRemote at the end of each cycle, in node-id order —
+// so the id sequence, and with it the whole trace, is a function of the
+// simulated schedule alone.
 type spanState struct {
 	tr   *telemetry.Tracer
 	next uint64
 }
 
 // ckptGen is one coordinated checkpoint generation: every node's kernel
-// image, captured at the same barrier cycle.
+// image, captured at the end of the same cycle.
 type ckptGen struct {
 	cycle uint64
 	cps   []*kernel.Checkpoint
@@ -261,8 +260,8 @@ func New(cfg Config) (*System, error) {
 		n := &Node{ID: i, K: k, sys: s}
 		k.M.Remote = n
 		// Remote accesses park on the issuing node and complete at the
-		// cycle barrier (deliver), in node order — the serialization
-		// point that makes parallel and serial stepping bit-identical.
+		// end of the cycle (deliver), in node-id order: no node's step
+		// sees another node's accesses of the same cycle.
 		k.M.DeferRemote = true
 		if cfg.JIT {
 			k.M.EnableJIT(jit.DefaultConfig())
@@ -298,8 +297,8 @@ func (s *System) Store() *persist.Store { return s.store }
 // Stats returns a copy of the cross-node counters.
 func (s *System) Stats() Stats { return s.stats }
 
-// Step advances every live node one cycle in lockstep, then delivers
-// the cycle's remote traffic at the barrier.
+// Step advances every live node one cycle, in node-id order, then
+// delivers the cycle's remote traffic.
 func (s *System) Step() {
 	for i, n := range s.Nodes {
 		if s.skip(i) {
@@ -320,10 +319,9 @@ func (s *System) skip(i int) bool {
 // nodes in id order. During the step phase nodes touch only their own
 // state (remote references are parked, not performed), so all
 // cross-node effects — mesh link reservations, home-cache contention,
-// traffic counters — happen here, in one deterministic order, no
-// matter how the step phase was scheduled. It then retires the cycle:
-// the watchdog progress check and the OnCycle hook both run here, on
-// the coordinating goroutine.
+// traffic counters — happen here, in one deterministic order. It then
+// retires the cycle: the periodic checkpoint, the watchdog progress
+// check and the OnCycle hook all run here.
 func (s *System) deliver() {
 	for i, n := range s.Nodes {
 		if s.dead[i] {
@@ -386,9 +384,9 @@ func (s *System) checkpointKeep() int {
 }
 
 // checkpointAll captures one coordinated generation — every node's
-// kernel at this barrier cycle — into the ring. Skipped while any node
-// is dead: the set would not be globally consistent. Capture reads
-// memory through the ECC plane (kernel.Checkpoint goes through
+// kernel at the end of this cycle — into the ring. Skipped while any
+// node is dead: the set would not be globally consistent. Capture
+// reads memory through the ECC plane (kernel.Checkpoint goes through
 // mem.ReadWord), so latent single-bit errors are healed on the way into
 // the image and a generation is never poisoned by correctable decay.
 func (s *System) checkpointAll() {
@@ -468,8 +466,8 @@ func (s *System) persistCheckpoint() {
 		s.sinceBase++
 	}
 	s.checkpoints++
-	// Prune inside the barrier, like the in-memory ring: retention is
-	// part of the generation commit. Prune never removes a base a
+	// Prune at the same cycle end, like the in-memory ring: retention
+	// is part of the generation commit. Prune never removes a base a
 	// retained delta still replays from.
 	if err := s.store.Prune(s.checkpointKeep()); err != nil {
 		s.resetCapStates() // disk trouble: re-base defensively
@@ -506,8 +504,8 @@ func (s *System) CheckpointNow() error {
 // and resumes: kernels are rebuilt from their images, rewired to the
 // mesh, dead and stalled nodes brought back, and the watchdog rearmed.
 // The generation is consistent by construction — all images were taken
-// at one barrier with every in-flight remote access already committed —
-// so threads that were parked on a lost reply simply re-issue from
+// at one cycle end, with every in-flight remote access committed — so
+// threads that were parked on a lost reply simply re-issue from
 // their checkpointed IP. Returns false (leaving the watchdog to report
 // Hung) when no generation exists, the restore budget is spent, or a
 // rebuild fails.
@@ -604,19 +602,14 @@ func (s *System) MigrateReport() *migrate.Report { return s.migrateReport }
 func (s *System) MigrateMetrics() *migrate.Metrics { return s.migrateMetrics }
 
 // maybeMigrate fires the armed migration once the cycle threshold is
-// reached, between Step calls on the coordinating goroutine. It
-// returns how many cycles the migration stepped the system (counted
-// against Run's budget).
-func (s *System) maybeMigrate() uint64 {
+// reached, between Step calls. Its outcome, error included, is kept in
+// MigrateReport and MigrateMetrics.
+func (s *System) maybeMigrate() {
 	if s.migrated || s.cfg.MigrateAt == 0 || s.cycle < s.cfg.MigrateAt || s.hung {
-		return 0
+		return
 	}
 	s.migrated = true
-	rep, _ := s.MigrateNode(s.cfg.MigrateNode, s.cfg.Migrate)
-	if rep == nil {
-		return 0
-	}
-	return rep.SteppedCycles
+	_, _ = s.MigrateNode(s.cfg.MigrateNode, s.cfg.Migrate)
 }
 
 // MigrateNode live-migrates node id onto a fresh standby replica:
@@ -628,9 +621,8 @@ func (s *System) maybeMigrate() uint64 {
 // the source only ever executed the exact Step schedule it would have
 // executed anyway.
 //
-// Must be called between cycle barriers on the coordinating goroutine
-// (the run loops call it via maybeMigrate; tests may call it directly
-// when the system is not running).
+// Must be called between cycles (Run calls it via maybeMigrate; tests
+// may call it directly when the system is not running).
 func (s *System) MigrateNode(id int, mcfg migrate.Config) (*migrate.Report, error) {
 	if id < 0 || id >= len(s.Nodes) {
 		return nil, fmt.Errorf("multi: migrate node %d out of range", id)
@@ -660,9 +652,9 @@ func (s *System) MigrateNode(id int, mcfg migrate.Config) (*migrate.Report, erro
 	if err != nil || !rep.Committed {
 		return rep, err
 	}
-	// Quiescence check: between barriers every deferred remote access
+	// Quiescence check: between cycles every deferred remote access
 	// has completed, so the mesh wiring can be swapped safely. A
-	// non-empty queue here means the caller violated the barrier
+	// non-empty queue here means the caller broke the between-cycles
 	// contract — refuse the swap, keep the source.
 	if pend := n.K.M.RemotePending(); pend != 0 {
 		rep.Committed = false
@@ -685,10 +677,10 @@ func (s *System) MigrateNode(id int, mcfg migrate.Config) (*migrate.Report, erro
 // remote read/write emits a root span on the issuing node and one
 // child span per mesh leg (request and reply), all tied together by
 // trace/span/parent ids in tr's event stream. Span-carrying transport
-// frames are flagged FlagTraced. Span ids are allocated at the cycle
-// barrier in node-id order, so traces are bit-identical under the
-// serial and parallel schedulers. Spans change no timing: the traced
-// delivery path is cycle-for-cycle the untraced one.
+// frames are flagged FlagTraced. Span ids are allocated during remote
+// delivery in node-id order, so a trace is a function of the simulated
+// schedule alone. Spans change no timing: the traced delivery path is
+// cycle-for-cycle the untraced one.
 func (s *System) EnableSpans(tr *telemetry.Tracer) {
 	s.spans = &spanState{tr: tr}
 	s.Net.Tracer = tr
@@ -915,128 +907,20 @@ func (s *System) Revive(id int, k *kernel.Kernel) error {
 	return nil
 }
 
-// Run steps until every node's threads are done or maxCycles elapse,
-// returning cycles executed. Nodes are stepped by a pool of persistent
-// workers meeting at a per-cycle barrier; Config.Serial selects the
-// single-goroutine scheduler instead. Both produce bit-identical
-// machines.
+// Run steps until every node's threads are done, the watchdog trips or
+// maxCycles elapse, and returns the cycles it ran: the change in Cycle
+// across the call. Each cycle is one Step: every live node steps once,
+// in node-id order, then the cycle's remote traffic is delivered. An
+// armed migration that fires inside the call steps the system through
+// its pre-copy rounds itself, and a round cannot pause, so the call may
+// run past maxCycles.
 func (s *System) Run(maxCycles uint64) uint64 {
-	if !s.cfg.Serial && s.workerCount() > 1 {
-		return s.runParallel(maxCycles)
-	}
-	return s.runSerial(maxCycles)
-}
-
-func (s *System) runSerial(maxCycles uint64) uint64 {
-	var c uint64
-	for c < maxCycles && !s.Done() && !s.hung {
+	start := s.cycle
+	for s.cycle-start < maxCycles && !s.Done() && !s.hung {
 		s.Step()
-		c++
-		// The armed migration steps the system itself (pre-copy overlaps
-		// execution); those cycles count against this Run's budget.
-		c += s.maybeMigrate()
+		s.maybeMigrate()
 	}
-	return c
-}
-
-// workerCount resolves Config.Workers: bounded by the node count, and
-// by GOMAXPROCS when unset.
-func (s *System) workerCount() int {
-	w := s.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(s.Nodes) {
-		w = len(s.Nodes)
-	}
-	return w
-}
-
-// runParallel is Run on nw persistent workers. Each cycle has two
-// phases separated by barriers: workers step a static partition of the
-// nodes (node state is disjoint; remote accesses only enqueue on the
-// issuing node), then the coordinator alone runs deliver() and the
-// termination check. The stop flag is written by the coordinator
-// between barriers and read by workers after one, so the barrier's lock
-// ordering publishes it.
-func (s *System) runParallel(maxCycles uint64) uint64 {
-	nw := s.workerCount()
-	b := newBarrier(nw + 1)
-	stop := false
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				b.await() // cycle start: coordinator has set stop
-				if stop {
-					return
-				}
-				for i := w; i < len(s.Nodes); i += nw {
-					// skip() reads dead/stallUntil/cycle, all written
-					// only between barriers (coordinator or pre-Run
-					// caller), so the barrier publishes them.
-					if s.skip(i) {
-						continue
-					}
-					s.Nodes[i].K.M.Step()
-				}
-				b.await() // cycle end: all nodes stepped
-			}
-		}(w)
-	}
-	var c uint64
-	for {
-		if c >= maxCycles || s.Done() || s.hung {
-			stop = true
-			b.await() // release workers to observe stop
-			break
-		}
-		b.await() // start the cycle
-		b.await() // wait for every node's step
-		s.deliver()
-		c++
-		// Workers are parked at the cycle-start barrier, so the armed
-		// migration may step the system serially from here — bit-identical
-		// to the parallel schedule by the package invariant.
-		c += s.maybeMigrate()
-	}
-	wg.Wait()
-	return c
-}
-
-// barrier is a reusable sense-reversing barrier for n participants.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	arrived int
-	phase   uint64
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// await blocks until all n participants have arrived, then releases
-// them together.
-func (b *barrier) await() {
-	b.mu.Lock()
-	p := b.phase
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.phase++
-		b.cond.Broadcast()
-	} else {
-		for b.phase == p {
-			b.cond.Wait()
-		}
-	}
-	b.mu.Unlock()
+	return s.cycle - start
 }
 
 // Done reports whether all threads on all nodes have finished.
@@ -1058,7 +942,10 @@ func (n *Node) IsRemote(addr uint64) bool {
 
 // ReadWord implements machine.RemoteAccess: a read request travels to
 // the home node, is serviced by the home's banked cache (contending
-// with the home's own threads), and the reply travels back. Both legs
+// with the home's own threads), and the reply travels back. It runs in
+// the issuing node's ServiceRemote at the end of the issue cycle, after
+// every node has stepped it: the home cache serves the request then,
+// stamped with the request's future arrival cycle, not at that cycle. Both legs
 // go through the mesh's fault-interception point: a dropped leg — or a
 // dead home node — returns machine.NeverDone, parking the issuing
 // thread on a reply that will never arrive; a corrupted leg surfaces

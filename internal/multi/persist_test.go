@@ -21,7 +21,6 @@ func persistSystem(t *testing.T, mut func(*Config)) (*System, *machine.Thread) {
 	cfg.Node.PhysBytes = 1 << 20
 	cfg.Node.Clusters = 1
 	cfg.Node.SlotsPerCluster = 1
-	cfg.Serial = true
 	if mut != nil {
 		mut(&cfg)
 	}

@@ -11,15 +11,13 @@ import (
 
 // watchdogSystem boots a 2×1×1 system: node 0 runs one thread doing
 // dependent remote loads from a segment homed on node 1.
-func watchdogSystem(t *testing.T, serial bool, watchdog uint64) (*System, *machine.Thread, machine.Config) {
+func watchdogSystem(t *testing.T, watchdog uint64) (*System, *machine.Thread, machine.Config) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Mesh = noc.Config{DimX: 2, DimY: 1, DimZ: 1, RouterLatency: 2, InjectLatency: 1}
 	cfg.Node.PhysBytes = 1 << 20
 	cfg.Node.Clusters = 1
 	cfg.Node.SlotsPerCluster = 1
-	cfg.Serial = serial
-	cfg.Workers = 2
 	cfg.WatchdogCycles = watchdog
 	s, err := New(cfg)
 	if err != nil {
@@ -50,42 +48,37 @@ func watchdogSystem(t *testing.T, serial bool, watchdog uint64) (*System, *machi
 }
 
 func TestWatchdogQuietOnHealthyRun(t *testing.T) {
-	for _, serial := range []bool{true, false} {
-		s, th, _ := watchdogSystem(t, serial, 2000)
-		s.Run(200_000)
-		if s.Hung() {
-			t.Fatalf("serial=%v: watchdog tripped on a healthy run", serial)
-		}
-		if th.State != machine.Halted {
-			t.Fatalf("serial=%v: %v %v", serial, th.State, th.Fault)
-		}
+	s, th, _ := watchdogSystem(t, 2000)
+	s.Run(200_000)
+	if s.Hung() {
+		t.Fatal("watchdog tripped on a healthy run")
+	}
+	if th.State != machine.Halted {
+		t.Fatalf("%v %v", th.State, th.Fault)
 	}
 }
 
 // TestWatchdogDetectsKilledHomeNode: killing the home node parks the
 // issuing thread forever (its reply is never coming); the cycle-
-// deadline watchdog must convert that silent spin into a detected hang,
-// identically under the serial and parallel schedulers.
+// deadline watchdog must convert that silent spin into a detected hang.
 func TestWatchdogDetectsKilledHomeNode(t *testing.T) {
-	for _, serial := range []bool{true, false} {
-		s, th, _ := watchdogSystem(t, serial, 2000)
-		s.Run(50) // let the workload get going
-		s.Kill(1)
-		s.Run(500_000)
-		if !s.Hung() {
-			t.Fatalf("serial=%v: killed home node not detected", serial)
-		}
-		if th.Done() {
-			t.Fatalf("serial=%v: thread finished without its home node: %v", serial, th.State)
-		}
-		if c := s.Cycle(); c > 50+10*2000 {
-			t.Fatalf("serial=%v: watchdog let the system spin %d cycles", serial, c)
-		}
+	s, th, _ := watchdogSystem(t, 2000)
+	s.Run(50) // let the workload get going
+	s.Kill(1)
+	s.Run(500_000)
+	if !s.Hung() {
+		t.Fatal("killed home node not detected")
+	}
+	if th.Done() {
+		t.Fatalf("thread finished without its home node: %v", th.State)
+	}
+	if c := s.Cycle(); c > 50+10*2000 {
+		t.Fatalf("watchdog let the system spin %d cycles", c)
 	}
 }
 
 func TestWatchdogDetectsKilledIssuer(t *testing.T) {
-	s, _, _ := watchdogSystem(t, true, 2000)
+	s, _, _ := watchdogSystem(t, 2000)
 	s.Run(50)
 	s.Kill(0)
 	s.Run(500_000)
@@ -97,13 +90,13 @@ func TestWatchdogDetectsKilledIssuer(t *testing.T) {
 // TestStallIsTransient: a bounded stall must lose time, not state — the
 // run completes with the watchdog quiet.
 func TestStallIsTransient(t *testing.T) {
-	ref, thRef, _ := watchdogSystem(t, true, 5000)
+	ref, thRef, _ := watchdogSystem(t, 5000)
 	ref.Run(200_000)
 	if thRef.State != machine.Halted {
 		t.Fatalf("reference: %v %v", thRef.State, thRef.Fault)
 	}
 
-	s, th, _ := watchdogSystem(t, true, 5000)
+	s, th, _ := watchdogSystem(t, 5000)
 	s.Run(50)
 	s.Stall(0, s.Cycle()+1500)
 	s.Run(200_000)
@@ -127,13 +120,13 @@ func TestStallIsTransient(t *testing.T) {
 // watchdog, rebuild its kernel from a checkpoint taken earlier, revive,
 // and finish — final architectural state equals an uninterrupted run.
 func TestReviveFromCheckpointResumes(t *testing.T) {
-	ref, thRef, _ := watchdogSystem(t, true, 2000)
+	ref, thRef, _ := watchdogSystem(t, 2000)
 	ref.Run(200_000)
 	if thRef.State != machine.Halted {
 		t.Fatalf("reference: %v %v", thRef.State, thRef.Fault)
 	}
 
-	s, _, nodeCfg := watchdogSystem(t, true, 2000)
+	s, _, nodeCfg := watchdogSystem(t, 2000)
 	var cp *kernel.Checkpoint
 	s.OnCycle = func(c uint64) {
 		if c == 40 {
