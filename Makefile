@@ -148,12 +148,17 @@ bench-migrate:
 # sections of BENCH_hotpath.json (interpreter, plus the mesh's Run row
 # in internal/multi; the CycleLoop anchor keeps the JIT rows out) and
 # BENCH_jit.json (compiled tier); the checked-in "baseline" numbers are
-# preserved.
+# preserved. Then prints, without recording them, the per-job
+# allocation rows: the verifier per program, the memory word stream,
+# and the single-node and mesh boots.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMachine_CycleLoop$$|BenchmarkRun$$' -benchmem . ./internal/multi/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_hotpath.json
 	$(GO) test -run '^$$' -bench 'BenchmarkMachine_CycleLoopJIT' -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_jit.json
+	$(GO) test -run '^$$' -bench 'BenchmarkVerify$$' -benchmem ./internal/capverify/
+	$(GO) test -run '^$$' -bench 'BenchmarkReadWriteWord$$' -benchmem ./internal/mem/
+	$(GO) test -run '^$$' -bench 'BenchmarkNew$$' -benchmem ./internal/kernel/ ./internal/multi/
 
 bench-all:
 	$(GO) test -bench=. -benchmem .

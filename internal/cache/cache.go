@@ -68,7 +68,7 @@ type line struct {
 }
 
 type bank struct {
-	sets      [][]line
+	lines     []line // Sets × Ways: set s is lines[s*Ways : (s+1)*Ways]
 	busyUntil uint64
 }
 
@@ -77,6 +77,7 @@ type Cache struct {
 	cfg   Config
 	space *vm.Space
 	banks []bank
+	lines []line // every bank's lines, in one allocation
 
 	// Tracer, when non-nil, receives a cycle-stamped event per miss
 	// that goes to the external interface (set by the owning machine).
@@ -109,12 +110,10 @@ func New(space *vm.Space, cfg Config) (*Cache, error) {
 	c := &Cache{cfg: cfg, space: space}
 	c.lineShift = uint(log2(uint64(cfg.LineBytes)))
 	c.banks = make([]bank, cfg.Banks)
+	c.lines = make([]line, cfg.Banks*cfg.Sets*cfg.Ways)
+	perBank := cfg.Sets * cfg.Ways
 	for i := range c.banks {
-		sets := make([][]line, cfg.Sets)
-		for s := range sets {
-			sets[s] = make([]line, cfg.Ways)
-		}
-		c.banks[i] = bank{sets: sets}
+		c.banks[i].lines = c.lines[i*perBank : (i+1)*perBank : (i+1)*perBank]
 	}
 	c.stats.BankAccesses = make([]uint64, cfg.Banks)
 	return c, nil
@@ -167,7 +166,8 @@ func (c *Cache) Access(vaddr uint64, write bool, now uint64) (done uint64, hit b
 		start = b.busyUntil
 	}
 
-	set := b.sets[c.setOf(vaddr)]
+	s := c.setOf(vaddr) * c.cfg.Ways
+	set := b.lines[s : s+c.cfg.Ways]
 	tag := c.lineTag(vaddr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -255,15 +255,10 @@ func (c *Cache) WriteWord(vaddr uint64, w word.Word, now uint64) (done uint64, e
 // It returns the number of lines invalidated.
 func (c *Cache) InvalidateAll() int {
 	n := 0
-	for bi := range c.banks {
-		for si := range c.banks[bi].sets {
-			set := c.banks[bi].sets[si]
-			for i := range set {
-				if set[i].valid {
-					set[i].valid = false
-					n++
-				}
-			}
+	for i := range c.lines {
+		if c.lines[i].valid {
+			c.lines[i].valid = false
+			n++
 		}
 	}
 	return n
@@ -278,15 +273,10 @@ func (c *Cache) InvalidateRange(vaddr, size uint64) int {
 	n := 0
 	first := c.lineTag(vaddr)
 	last := c.lineTag(vaddr + size - 1)
-	for bi := range c.banks {
-		for si := range c.banks[bi].sets {
-			set := c.banks[bi].sets[si]
-			for i := range set {
-				if set[i].valid && set[i].tag >= first && set[i].tag <= last {
-					set[i].valid = false
-					n++
-				}
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.valid && l.tag >= first && l.tag <= last {
+			l.valid = false
+			n++
 		}
 	}
 	return n
@@ -295,13 +285,9 @@ func (c *Cache) InvalidateRange(vaddr, size uint64) int {
 // Live returns the number of valid lines.
 func (c *Cache) Live() int {
 	n := 0
-	for bi := range c.banks {
-		for si := range c.banks[bi].sets {
-			for _, l := range c.banks[bi].sets[si] {
-				if l.valid {
-					n++
-				}
-			}
+	for _, l := range c.lines {
+		if l.valid {
+			n++
 		}
 	}
 	return n

@@ -1,10 +1,6 @@
 package capverify
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Permission-set masks for the hardware checks.
 const (
@@ -29,13 +25,19 @@ const (
 	privPermsMask uint16 = 1<<core.PermExecutePriv | 1<<core.PermEnterPriv
 )
 
-// check is one evaluated dynamic-check site within an instruction.
+// check is one evaluated dynamic-check site within an instruction. Its
+// diagnostic is kept as data — a message template and the template's
+// operands — and rendered by text (msg.go) only when a non-safe check
+// becomes a Diag: the fixpoint visits every site many times and never
+// formats.
 type check struct {
 	class   Class
 	verdict Verdict
 	code    core.FaultCode // predicted code when verdict == VerdictFault
-	msg     string
-	reg     int // offending register, -1
+	reg     int            // offending register, -1
+	msg     msgID
+	op      string   // the operation the message names
+	n       [6]int64 // numeric operands, in template order
 }
 
 // edge is one control-flow successor with its post-state. spec marks a
@@ -54,35 +56,24 @@ type edge struct {
 }
 
 // stepOut is everything one instruction's abstract execution produces.
+// The verifier owns one and step refills it, so the fixpoint allocates
+// nothing per step once the slices have grown.
 type stepOut struct {
 	edges  []edge
 	checks []check
 	abyss  bool // an indirect jump could not be bounded
 }
 
-func (o *stepOut) add(class Class, verdict Verdict, code core.FaultCode, reg int, format string, args ...interface{}) Verdict {
-	o.checks = append(o.checks, check{
-		class: class, verdict: verdict, code: code, reg: reg,
-		msg: fmt.Sprintf(format, args...),
-	})
-	return verdict
+func (o *stepOut) reset() {
+	o.edges = o.edges[:0]
+	o.checks = o.checks[:0]
+	o.abyss = false
 }
 
-// permsString names a permission set for diagnostics.
-func permsString(mask uint16) string {
-	s := ""
-	for p := core.Perm(0); p < core.NumPerms; p++ {
-		if mask&(1<<p) != 0 {
-			if s != "" {
-				s += "|"
-			}
-			s += p.String()
-		}
-	}
-	if s == "" {
-		return "(none)"
-	}
-	return s
+func (o *stepOut) add(class Class, verdict Verdict, code core.FaultCode, reg int, msg msgID, op string, n ...int64) {
+	c := check{class: class, verdict: verdict, code: code, reg: reg, msg: msg, op: op}
+	copy(c.n[:], n)
+	o.checks = append(o.checks, c)
 }
 
 // ptrCheck evaluates the Decode (tag) check for using val as a pointer
@@ -91,19 +82,17 @@ func permsString(mask uint16) string {
 func ptrCheck(out *stepOut, val Value, reg int, op string) (Value, bool) {
 	switch val.Kind {
 	case KPtr:
-		out.add(ClassTag, VerdictSafe, core.FaultNone, reg, "%s operand r%d is always a pointer", op, reg)
+		out.add(ClassTag, VerdictSafe, core.FaultNone, reg, msgTagSafe, op)
 		return val, true
 	case KUninit:
-		out.add(ClassTag, VerdictFault, core.FaultTag, reg,
-			"%s through r%d, which is never initialized (untagged 0)", op, reg)
+		out.add(ClassTag, VerdictFault, core.FaultTag, reg, msgTagUninit, op)
 		return Value{}, false
 	case KInt:
-		out.add(ClassTag, VerdictFault, core.FaultTag, reg,
-			"%s through r%d, which always holds an untagged integer (%s)", op, reg, val)
+		out.add(ClassTag, VerdictFault, core.FaultTag, reg, msgTagInt, op,
+			val.Lo, val.Hi, int64(val.Mod), int64(val.Rem))
 		return Value{}, false
 	default: // KTop
-		out.add(ClassTag, VerdictUnknown, core.FaultNone, reg,
-			"%s operand r%d may not carry the pointer tag", op, reg)
+		out.add(ClassTag, VerdictUnknown, core.FaultNone, reg, msgTagMay, op)
 		return PtrAny(RegAny), true
 	}
 }
@@ -113,16 +102,13 @@ func ptrCheck(out *stepOut, val Value, reg int, op string) (Value, bool) {
 func permCheck(out *stepOut, pv Value, allowed uint16, code core.FaultCode, reg int, what string) (Value, bool) {
 	switch {
 	case pv.Perms&^allowed == 0:
-		out.add(ClassPerm, VerdictSafe, core.FaultNone, reg,
-			"%s: r%d permission is always %s", what, reg, permsString(pv.Perms))
+		out.add(ClassPerm, VerdictSafe, core.FaultNone, reg, msgPermSafe, what, int64(pv.Perms))
 		return pv, true
 	case pv.Perms&allowed == 0:
-		out.add(ClassPerm, VerdictFault, code, reg,
-			"%s through a %s pointer in r%d", what, permsString(pv.Perms), reg)
+		out.add(ClassPerm, VerdictFault, code, reg, msgPermFault, what, int64(pv.Perms))
 		return Value{}, false
 	default:
-		out.add(ClassPerm, VerdictUnknown, core.FaultNone, reg,
-			"%s: r%d permission may be %s", what, reg, permsString(pv.Perms&^allowed))
+		out.add(ClassPerm, VerdictUnknown, core.FaultNone, reg, msgPermMay, what, int64(pv.Perms&^allowed))
 		pv.Perms &= allowed
 		return pv.canon(), true
 	}
@@ -155,17 +141,14 @@ func leaBounds(out *stepOut, pv Value, off Value, fromBase bool, reg int, op str
 
 	switch {
 	case sumLo >= 0 && sumHi < segMin:
-		out.add(ClassBounds, VerdictSafe, core.FaultNone, reg,
-			"%s offset always lands in [%d,%d] inside the 2^%d-byte segment of r%d", op, sumLo, sumHi, pv.LenLo, reg)
+		out.add(ClassBounds, VerdictSafe, core.FaultNone, reg, msgLeaSafe, op, sumLo, sumHi, int64(pv.LenLo))
 	case sumHi < 0 || sumLo >= segMax:
-		out.add(ClassBounds, VerdictFault, core.FaultBounds, reg,
-			"%s offset %s always leaves the 2^[%d,%d]-byte segment of r%d", op,
-			rangeStr(sumLo, sumHi), pv.LenLo, pv.LenHi, reg)
+		out.add(ClassBounds, VerdictFault, core.FaultBounds, reg, msgLeaFault, op,
+			sumLo, sumHi, int64(pv.LenLo), int64(pv.LenHi))
 		return Value{}, false
 	default:
-		out.add(ClassBounds, VerdictUnknown, core.FaultNone, reg,
-			"%s offset %s may leave the 2^[%d,%d]-byte segment of r%d", op,
-			rangeStr(sumLo, sumHi), pv.LenLo, pv.LenHi, reg)
+		out.add(ClassBounds, VerdictUnknown, core.FaultNone, reg, msgLeaMay, op,
+			sumLo, sumHi, int64(pv.LenLo), int64(pv.LenHi))
 	}
 	if sumLo < 0 {
 		sumLo = 0
@@ -183,13 +166,6 @@ func leaBounds(out *stepOut, pv Value, off Value, fromBase bool, reg int, op str
 	return res, true
 }
 
-func rangeStr(lo, hi int64) string {
-	if lo == hi {
-		return fmt.Sprintf("%d", lo)
-	}
-	return fmt.Sprintf("[%s,%s]", boundStr(lo), boundStr(hi))
-}
-
 // spanCheck evaluates checkSpan: size bytes at the pointer's offset
 // must fit in the segment.
 func spanCheck(out *stepOut, pv Value, size int64, reg int, op string) (Value, bool) {
@@ -197,17 +173,14 @@ func spanCheck(out *stepOut, pv Value, size int64, reg int, op string) (Value, b
 	segMax := int64(1) << pv.LenHi
 	switch {
 	case satAdd(int64(pv.OffHi), size) <= segMin:
-		out.add(ClassBounds, VerdictSafe, core.FaultNone, reg,
-			"%s span: offset+%d ≤ %d always fits r%d's segment", op, size, segMin, reg)
+		out.add(ClassBounds, VerdictSafe, core.FaultNone, reg, msgSpanSafe, op, size, segMin)
 	case satAdd(int64(pv.OffLo), size) > segMax:
-		out.add(ClassBounds, VerdictFault, core.FaultBounds, reg,
-			"%d-byte %s at offset %s always exceeds r%d's 2^[%d,%d]-byte segment",
-			size, op, rangeStr(int64(pv.OffLo), int64(pv.OffHi)), reg, pv.LenLo, pv.LenHi)
+		out.add(ClassBounds, VerdictFault, core.FaultBounds, reg, msgSpanFault, op,
+			size, int64(pv.OffLo), int64(pv.OffHi), int64(pv.LenLo), int64(pv.LenHi))
 		return Value{}, false
 	default:
-		out.add(ClassBounds, VerdictUnknown, core.FaultNone, reg,
-			"%d-byte %s at offset %s may exceed r%d's 2^[%d,%d]-byte segment",
-			size, op, rangeStr(int64(pv.OffLo), int64(pv.OffHi)), reg, pv.LenLo, pv.LenHi)
+		out.add(ClassBounds, VerdictUnknown, core.FaultNone, reg, msgSpanMay, op,
+			size, int64(pv.OffLo), int64(pv.OffHi), int64(pv.LenLo), int64(pv.LenHi))
 	}
 	if int64(pv.OffHi) > segMax-size {
 		pv.OffHi = uint64(segMax - size)
@@ -234,15 +207,12 @@ func alignCheck(out *stepOut, pv Value, reg int, op string) (Value, bool) {
 	}
 	switch {
 	case g == 8 && pv.Rem&7 == 0:
-		out.add(ClassAlign, VerdictSafe, core.FaultNone, reg,
-			"%s address through r%d is always 8-aligned", op, reg)
+		out.add(ClassAlign, VerdictSafe, core.FaultNone, reg, msgAlignSafe, op)
 	case pv.Rem&(g-1) != 0:
-		out.add(ClassAlign, VerdictFault, core.FaultBounds, reg,
-			"%s address through r%d is never 8-aligned (offset ≡ %d mod %d)", op, reg, pv.Rem&(g-1), g)
+		out.add(ClassAlign, VerdictFault, core.FaultBounds, reg, msgAlignFault, op, int64(pv.Rem&(g-1)), int64(g))
 		return Value{}, false
 	default:
-		out.add(ClassAlign, VerdictUnknown, core.FaultNone, reg,
-			"%s address through r%d may be unaligned", op, reg)
+		out.add(ClassAlign, VerdictUnknown, core.FaultNone, reg, msgAlignMay, op)
 		// On the pass path the offset is 8-aligned, as long as the
 		// segment itself is at least word-aligned.
 		if pv.LenLo >= 3 && pv.Mod < 8 && pv.Rem == 0 {
@@ -261,11 +231,9 @@ func alignCheck(out *stepOut, pv Value, reg int, op string) (Value, bool) {
 // IP's offset and segment are exact, so this check always decides.
 func ctrlCheck(out *stepOut, target, segWords int, what string) bool {
 	if target >= 0 && target < segWords {
-		out.add(ClassCtrl, VerdictSafe, core.FaultNone, -1,
-			"%s stays inside the code segment", what)
+		out.add(ClassCtrl, VerdictSafe, core.FaultNone, -1, msgCtrlSafe, what)
 		return true
 	}
-	out.add(ClassCtrl, VerdictFault, core.FaultBounds, -1,
-		"%s leaves the code segment (word %d of %d)", what, target, segWords)
+	out.add(ClassCtrl, VerdictFault, core.FaultBounds, -1, msgCtrlFault, what, int64(target), int64(segWords))
 	return false
 }

@@ -192,15 +192,6 @@ func (r *Report) DischargeRatio() float64 {
 	return float64(r.Totals.Safe) / float64(n)
 }
 
-// add records one evaluated check site.
-func (r *Report) add(d Diag) {
-	r.PerClass[d.class].bump(d.verdict)
-	r.Totals.bump(d.verdict)
-	if d.verdict != VerdictSafe {
-		r.Diags = append(r.Diags, d)
-	}
-}
-
 func (c *Counts) bump(v Verdict) {
 	switch v {
 	case VerdictSafe:

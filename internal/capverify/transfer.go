@@ -92,57 +92,59 @@ func (v *verifier) fallthru(out *stepOut, pc int, st state) {
 
 // step abstractly executes the decodable instruction at pc over the
 // in-state, producing successor edges and the verdicts of every
-// dynamic check the hardware would perform.
-func (v *verifier) step(pc int, in state) stepOut {
-	var out stepOut
+// dynamic check the hardware would perform. The result is the
+// verifier's own buffer, valid until the next step.
+func (v *verifier) step(pc int, in state) *stepOut {
+	out := &v.out
+	out.reset()
 	inst := v.img.Insts[pc]
 	segWords := v.img.SegWords()
 
 	switch opKinds[inst.Op] {
 	case kNop:
-		v.fallthru(&out, pc, in)
+		v.fallthru(out, pc, in)
 
 	case kHalt:
 		// stops the thread; no checks, no successors
 
 	case kALU:
-		v.stepALU(&out, pc, in, inst)
+		v.stepALU(out, pc, in, inst)
 
 	case kBr:
 		t := pc + 1 + int(inst.Imm)
-		if ctrlCheck(&out, t, segWords, "branch target") {
+		if ctrlCheck(out, t, segWords, "branch target") {
 			out.edges = append(out.edges, edge{pc: t, st: in})
 		}
 
 	case kCondBr:
-		v.stepCondBr(&out, pc, in, inst)
+		v.stepCondBr(out, pc, in, inst)
 
 	case kJump:
-		v.stepJump(&out, pc, in, inst)
+		v.stepJump(out, pc, in, inst)
 
 	case kTrap:
 		// TRAP advances the IP before entering the kernel, which may
 		// rewrite the entire register file before resuming.
-		if ctrlCheck(&out, pc+1, segWords, "trap return advance") {
+		if ctrlCheck(out, pc+1, segWords, "trap return advance") {
 			st := in
 			havocRegs(&st)
 			out.edges = append(out.edges, edge{pc: pc + 1, st: st})
 		}
 
 	case kMem:
-		v.stepMem(&out, pc, in, inst)
+		v.stepMem(out, pc, in, inst)
 
 	case kLea:
-		v.stepLea(&out, pc, in, inst)
+		v.stepLea(out, pc, in, inst)
 
 	case kRestrict:
-		v.stepRestrict(&out, pc, in, inst)
+		v.stepRestrict(out, pc, in, inst)
 
 	case kSubseg:
-		v.stepSubseg(&out, pc, in, inst)
+		v.stepSubseg(out, pc, in, inst)
 
 	case kSetptr:
-		v.stepSetptr(&out, pc, in, inst)
+		v.stepSetptr(out, pc, in, inst)
 
 	case kIsptr:
 		var res Value
@@ -156,10 +158,10 @@ func (v *verifier) step(pc int, in state) stepOut {
 		}
 		st := in
 		st.def(inst.Rd, pc, res, pred{kind: pIsPtr, src: int8(inst.Ra), srcDef: in.defs[inst.Ra]})
-		v.fallthru(&out, pc, st)
+		v.fallthru(out, pc, st)
 
 	case kGetMeta:
-		pv, ok := ptrCheck(&out, in.regs[inst.Ra], inst.Ra, inst.Op.String())
+		pv, ok := ptrCheck(out, in.regs[inst.Ra], inst.Ra, inst.Op.String())
 		if !ok {
 			return out
 		}
@@ -182,12 +184,12 @@ func (v *verifier) step(pc int, in state) stepOut {
 		}
 		st := in
 		st.def(inst.Rd, pc, res, pred{})
-		v.fallthru(&out, pc, st)
+		v.fallthru(out, pc, st)
 
 	case kMovip:
 		st := in
 		st.def(inst.Rd, pc, v.execPtrValue(pc, in.priv), pred{})
-		v.fallthru(&out, pc, st)
+		v.fallthru(out, pc, st)
 
 	case kFP:
 		var res Value
@@ -198,7 +200,7 @@ func (v *verifier) step(pc int, in state) stepOut {
 		}
 		st := in
 		st.def(inst.Rd, pc, res, pred{})
-		v.fallthru(&out, pc, st)
+		v.fallthru(out, pc, st)
 	}
 	return out
 }
@@ -628,20 +630,16 @@ func (v *verifier) stepRestrict(out *stepOut, pc int, in state, inst isa.Inst) {
 		}
 		switch {
 		case okMask == pv.Perms:
-			out.add(ClassPerm, VerdictSafe, core.FaultNone, inst.Ra,
-				"restrict to %s is always a strict subset of r%d's rights", tp, inst.Ra)
+			out.add(ClassPerm, VerdictSafe, core.FaultNone, inst.Ra, msgRestrictSafe, "", int64(tp))
 		case okMask == 0:
-			out.add(ClassPerm, VerdictFault, core.FaultPerm, inst.Ra,
-				"restrict to %s is never a strict subset of %s", tp, permsString(pv.Perms))
+			out.add(ClassPerm, VerdictFault, core.FaultPerm, inst.Ra, msgRestrictFault, "", int64(tp), int64(pv.Perms))
 			return
 		default:
-			out.add(ClassPerm, VerdictUnknown, core.FaultNone, inst.Ra,
-				"restrict to %s may not be a strict subset of r%d's rights", tp, inst.Ra)
+			out.add(ClassPerm, VerdictUnknown, core.FaultNone, inst.Ra, msgRestrictMay, "", int64(tp))
 		}
 		res.Perms = 1 << tp
 	} else {
-		out.add(ClassPerm, VerdictUnknown, core.FaultNone, inst.Rb,
-			"restrict target permission in r%d is not statically known", inst.Rb)
+		out.add(ClassPerm, VerdictUnknown, core.FaultNone, inst.Rb, msgRestrictUnknown, "")
 		var mask uint16
 		for p := core.Perm(0); p < core.NumPerms; p++ {
 			if pv.Perms&(1<<p) == 0 {
@@ -683,16 +681,13 @@ func (v *verifier) stepSubseg(out *stepOut, pc int, in state, inst isa.Inst) {
 	}
 	switch {
 	case lHi < int64(pv.LenLo):
-		out.add(ClassPerm, VerdictSafe, core.FaultNone, inst.Ra,
-			"subseg to 2^[%d,%d] always shrinks r%d's segment", lLo, lHi, inst.Ra)
+		out.add(ClassPerm, VerdictSafe, core.FaultNone, inst.Ra, msgSubsegSafe, "", lLo, lHi)
 	case lLo >= int64(pv.LenHi):
-		out.add(ClassPerm, VerdictFault, core.FaultLength, inst.Ra,
-			"subseg to 2^[%d,%d] never shrinks r%d's 2^[%d,%d]-byte segment",
-			lLo, lHi, inst.Ra, pv.LenLo, pv.LenHi)
+		out.add(ClassPerm, VerdictFault, core.FaultLength, inst.Ra, msgSubsegFault, "",
+			lLo, lHi, int64(pv.LenLo), int64(pv.LenHi))
 		return
 	default:
-		out.add(ClassPerm, VerdictUnknown, core.FaultNone, inst.Ra,
-			"subseg to 2^[%d,%d] may not shrink r%d's segment", lLo, lHi, inst.Ra)
+		out.add(ClassPerm, VerdictUnknown, core.FaultNone, inst.Ra, msgSubsegMay, "", lLo, lHi)
 		if lHi >= int64(pv.LenHi) {
 			lHi = int64(pv.LenHi) - 1
 		}
@@ -722,15 +717,12 @@ func (v *verifier) stepSubseg(out *stepOut, pc int, in state, inst isa.Inst) {
 func (v *verifier) stepSetptr(out *stepOut, pc int, in state, inst isa.Inst) {
 	switch in.priv {
 	case privPriv:
-		out.add(ClassPriv, VerdictSafe, core.FaultNone, -1,
-			"setptr always executes under an execute-privileged IP")
+		out.add(ClassPriv, VerdictSafe, core.FaultNone, -1, msgPrivSafe, "")
 	case privUser:
-		out.add(ClassPriv, VerdictFault, core.FaultPriv, -1,
-			"setptr always executes in user mode")
+		out.add(ClassPriv, VerdictFault, core.FaultPriv, -1, msgPrivFault, "")
 		return
 	default:
-		out.add(ClassPriv, VerdictUnknown, core.FaultNone, -1,
-			"setptr may execute in user mode")
+		out.add(ClassPriv, VerdictUnknown, core.FaultNone, -1, msgPrivMay, "")
 	}
 
 	var res Value
@@ -739,21 +731,17 @@ func (v *verifier) stepSetptr(out *stepOut, pc int, in state, inst isa.Inst) {
 		logLen := uint(uint64(bitsv) >> 54 & 0x3f)
 		switch {
 		case !perm.Valid():
-			out.add(ClassPerm, VerdictFault, core.FaultPerm, inst.Ra,
-				"setptr source always encodes invalid permission %d", perm)
+			out.add(ClassPerm, VerdictFault, core.FaultPerm, inst.Ra, msgSetptrBadPerm, "", int64(perm))
 			return
 		case logLen > core.MaxLogLen:
-			out.add(ClassPerm, VerdictFault, core.FaultLength, inst.Ra,
-				"setptr source always encodes segment length 2^%d", logLen)
+			out.add(ClassPerm, VerdictFault, core.FaultLength, inst.Ra, msgSetptrBadLen, "", int64(logLen))
 			return
 		}
-		out.add(ClassPerm, VerdictSafe, core.FaultNone, inst.Ra,
-			"setptr source is always a structurally valid pointer image")
+		out.add(ClassPerm, VerdictSafe, core.FaultNone, inst.Ra, msgSetptrSafe, "")
 		addr := uint64(bitsv) & core.AddrMask
 		res = PtrExact(perm, logLen, addr&(uint64(1)<<logLen-1), RegAny)
 	} else {
-		out.add(ClassPerm, VerdictUnknown, core.FaultNone, inst.Ra,
-			"setptr source r%d is not statically known", inst.Ra)
+		out.add(ClassPerm, VerdictUnknown, core.FaultNone, inst.Ra, msgSetptrMay, "")
 		res = PtrAny(RegAny)
 	}
 	st := in

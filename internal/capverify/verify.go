@@ -14,6 +14,9 @@ type verifier struct {
 	cfg        Config
 	maxTargets int
 	ths        []int64 // widening thresholds harvested from comparisons
+
+	out    stepOut // step's result, refilled by every step
+	merged []check // the report pass's per-site merge of all contexts
 }
 
 const (
@@ -286,7 +289,7 @@ func (v *verifier) run() *Report {
 		}
 		rep.ReachableWords++
 		rep.sites[pc] = []SiteCheck{} // reachable, even if check-free
-		baseIn := states[live[0]][pc]
+		baseIn := &states[live[0]][pc]
 		if !v.img.Decodes[pc] {
 			// Fetching this word faults. Provable only when the word is
 			// certainly reached; a speculative or havoc path makes it an
@@ -295,31 +298,23 @@ func (v *verifier) run() *Report {
 			for _, c := range live {
 				anyStatic = anyStatic || staticReach[c][pc]
 			}
-			verdict := VerdictUnknown
-			msg := "execution may reach a word that does not decode as an instruction"
+			c := check{class: ClassCtrl, verdict: VerdictUnknown, code: core.FaultPerm, reg: -1, msg: msgFetchMay}
 			if anyStatic {
-				verdict = VerdictFault
-				msg = "execution reaches a word that does not decode as an instruction"
+				c.verdict, c.msg = VerdictFault, msgFetchFault
 			}
-			c := check{
-				class: ClassCtrl, verdict: verdict, code: core.FaultPerm,
-				msg: msg, reg: -1,
-			}
-			rep.add(v.diag(pc, baseIn, c))
-			rep.sites[pc] = append(rep.sites[pc], SiteCheck{Class: c.class, Verdict: c.verdict})
+			v.record(rep, pc, baseIn, c)
 			continue
 		}
-		var merged []check
+		v.merged = v.merged[:0]
 		for _, c := range live {
 			out := v.step(pc, states[c][pc])
 			if !v.cfg.RegistersOnly {
-				v.collectLeaks(rep, pc, ctxs[c].dom, states[c][pc], &out)
+				v.collectLeaks(rep, pc, ctxs[c].dom, states[c][pc], out)
 			}
-			merged = mergeChecks(merged, out.checks)
+			v.merged = mergeChecks(v.merged, out.checks)
 		}
-		for _, c := range merged {
-			rep.add(v.diag(pc, baseIn, c))
-			rep.sites[pc] = append(rep.sites[pc], SiteCheck{Class: c.class, Verdict: c.verdict})
+		for _, c := range v.merged {
+			v.record(rep, pc, baseIn, c)
 		}
 	}
 	rep.sortDiags()
@@ -327,48 +322,67 @@ func (v *verifier) run() *Report {
 	return rep
 }
 
-// mergeChecks folds one context's check list into the running merged
-// list for a site. Lists from different contexts may differ in length
-// (an early provable fault cuts a context's list short; a one-sided
-// branch emits only its side's control check); the merge keeps the
-// longer list and joins verdicts positionwise — agreeing verdicts
-// stand, disagreeing ones degrade to unknown. This is sound for the
-// JIT's all-safe test: the merged list is all-safe only if every
-// context proved every check it emits, and each dynamic instance's
-// checks are covered by the context that abstracts it.
+// mergeChecks folds one context's check list b into the running merged
+// list a for a site, in place in a's storage (the first context's list
+// is merged into an empty a, which copies it). Lists from different
+// contexts may differ in length (an early provable fault cuts a
+// context's list short; a one-sided branch emits only its side's
+// control check); the merge keeps the longer list and joins verdicts
+// positionwise — agreeing verdicts stand, disagreeing ones degrade to
+// unknown. This is sound for the JIT's all-safe test: the merged list
+// is all-safe only if every context proved every check it emits, and
+// each dynamic instance's checks are covered by the context that
+// abstracts it.
 func mergeChecks(a, b []check) []check {
-	if a == nil {
-		return b
-	}
-	long, short := a, b
-	if len(b) > len(a) {
-		long, short = b, a
-	}
-	out := append([]check(nil), long...)
-	for i := range short {
-		if out[i].verdict == short[i].verdict {
-			continue
+	n := len(a)
+	if len(b) > n {
+		for i := range a {
+			a[i] = joinCheck(b[i], a[i])
 		}
-		pick := out[i]
-		if pick.verdict == VerdictSafe {
-			pick = short[i] // prefer the side that saw a problem
-		}
-		pick.verdict = VerdictUnknown
-		pick.code = core.FaultNone
-		out[i] = pick
+		return append(a, b[n:]...)
 	}
-	return out
+	for i := range b {
+		a[i] = joinCheck(a[i], b[i])
+	}
+	return a
+}
+
+// joinCheck merges two contexts' verdicts on the same check; long comes
+// from the longer list, and its check stands when the verdicts agree.
+func joinCheck(long, short check) check {
+	if long.verdict == short.verdict {
+		return long
+	}
+	pick := long
+	if pick.verdict == VerdictSafe {
+		pick = short // prefer the side that saw a problem
+	}
+	pick.verdict = VerdictUnknown
+	pick.code = core.FaultNone
+	return pick
+}
+
+// record enters one merged check at pc into the report: it is counted
+// and added to the site table, and only a non-safe check — the only
+// kind a Report keeps — becomes a Diag with a formatted message.
+func (v *verifier) record(rep *Report, pc int, in *state, c check) {
+	rep.PerClass[c.class].bump(c.verdict)
+	rep.Totals.bump(c.verdict)
+	rep.sites[pc] = append(rep.sites[pc], SiteCheck{Class: c.class, Verdict: c.verdict})
+	if c.verdict != VerdictSafe {
+		rep.Diags = append(rep.Diags, v.diag(pc, in, &c))
+	}
 }
 
 // diag attaches source provenance to a check verdict: the instruction's
 // own origin, plus — when the check blames a register defined at a
 // known instruction — the origin of that definition.
-func (v *verifier) diag(pc int, in state, c check) Diag {
+func (v *verifier) diag(pc int, in *state, c *check) Diag {
 	o := v.img.Origin(pc)
 	d := Diag{
 		PC: pc, File: o.File, Line: o.Line,
 		Class: c.class.String(), Verdict: c.verdict.String(),
-		Code: c.code, Msg: c.msg, Reg: c.reg,
+		Code: c.code, Msg: c.text(), Reg: c.reg,
 		verdict: c.verdict, class: c.class,
 	}
 	if v.img.Decodes[pc] {

@@ -40,7 +40,7 @@ func runProgram(t *testing.T, prog *asm.Program) *machine.Thread {
 
 // shippedPrograms assembles every program under programs/, linking
 // usemem.s against memlib.s the way cmd/mmld does.
-func shippedPrograms(t *testing.T) map[string]*asm.Program {
+func shippedPrograms(t testing.TB) map[string]*asm.Program {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("..", "..", "programs", "*.s"))
 	if err != nil || len(files) == 0 {

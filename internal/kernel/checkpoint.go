@@ -152,10 +152,8 @@ func Restore(cfg machine.Config, cp *Checkpoint) (*Kernel, error) {
 		if err := k.M.Space.PT.Map(img.VAddr, img.Frame); err != nil {
 			return nil, err
 		}
-		for i, w := range img.Words {
-			if err := k.M.Space.Phys.WriteWord(img.Frame+uint64(i)*word.BytesPerWord, w); err != nil {
-				return nil, err
-			}
+		if err := k.M.Space.Phys.WriteWords(img.Frame, img.Words); err != nil {
+			return nil, err
 		}
 	}
 	for _, img := range cp.Swapped {

@@ -50,12 +50,8 @@ func (cs *CaptureState) Matches(k *Kernel) bool {
 func (k *Kernel) readPage(page, frame uint64) (PageImage, error) {
 	wordsPerPage := vm.PageSize / word.BytesPerWord
 	img := PageImage{VAddr: page, Frame: frame, Words: make([]word.Word, wordsPerPage)}
-	for i := 0; i < wordsPerPage; i++ {
-		w, err := k.M.Space.Phys.ReadWord(frame + uint64(i)*word.BytesPerWord)
-		if err != nil {
-			return PageImage{}, err
-		}
-		img.Words[i] = w
+	if err := k.M.Space.Phys.ReadWords(frame, img.Words); err != nil {
+		return PageImage{}, err
 	}
 	return img, nil
 }

@@ -129,32 +129,36 @@ func checkByte(w word.Word) uint8 {
 // supersedes the detect-only parity plane: at most one of the two is
 // active, and ECC wins.
 func (m *Memory) EnableECC() {
-	m.parity = nil
-	m.ecc = make([]uint8, len(m.data))
-	for i := range m.data {
-		m.ecc[i] = checkByte(word.Word{Bits: m.data[i], Tag: m.tagAt(uint64(i))})
+	m.check = checkECC
+	for _, p := range m.pages {
+		if p == nil {
+			continue
+		}
+		for j := uint64(0); j < pageWords; j++ {
+			p.ecc[j] = checkByte(p.word(j))
+		}
 	}
 }
 
 // ECCEnabled reports whether the SECDED plane is active.
-func (m *Memory) ECCEnabled() bool { return m.ecc != nil }
+func (m *Memory) ECCEnabled() bool { return m.check == checkECC }
 
 // ECCStats returns a copy of the error-correction counters.
 func (m *Memory) ECCStats() ECCStats { return m.eccStats }
 
-// verifyECC checks word i against its check byte, repairing a
-// single-bit error in place (data, tag, check bits, or the overall
+// verifyECC checks word j of page p against its check byte, repairing
+// a single-bit error in place (data, tag, check bits, or the overall
 // parity bit). It reports whether the word is now good; false means an
 // uncorrectable double-bit error was detected.
-func (m *Memory) verifyECC(i uint64) bool {
-	w := word.Word{Bits: m.data[i], Tag: m.tagAt(i)}
-	cb := m.ecc[i]
+func (m *Memory) verifyECC(p *page, j uint64) bool {
+	w := p.word(j)
+	cb := p.ecc[j]
 	s := synOf(w) ^ cb&0x7f
-	p := uint(bits.OnesCount64(w.Bits)) + uint(bits.OnesCount8(cb))
+	pc := uint(bits.OnesCount64(w.Bits)) + uint(bits.OnesCount8(cb))
 	if w.Tag {
-		p++
+		pc++
 	}
-	odd := p&1 != 0
+	odd := pc&1 != 0
 	switch {
 	case s == 0 && !odd:
 		return true // clean
@@ -165,13 +169,13 @@ func (m *Memory) verifyECC(i uint64) bool {
 	case s == 0 || s&(s-1) == 0:
 		// The overall parity bit (s==0) or a Hamming check bit flipped;
 		// the data is intact — rebuild the check byte.
-		m.ecc[i] = checkByte(w)
+		p.ecc[j] = checkByte(w)
 	case int(s) < len(posToData) && posToData[s] >= 0:
 		// A data or tag bit flipped: the syndrome names its position.
 		if d := posToData[s]; d < 64 {
-			m.data[i] ^= 1 << uint(d)
+			p.data[j] ^= 1 << uint(d)
 		} else {
-			m.tags[i/64] ^= 1 << (i % 64)
+			p.tags[j/64] ^= 1 << (j % 64)
 		}
 	default:
 		// Syndrome outside the codeword: at least two bits flipped.
@@ -186,24 +190,29 @@ func (m *Memory) verifyECC(i uint64) bool {
 // the next n words after the rotating cursor, corrects any single-bit
 // errors found, and returns how many words it repaired. Double-bit
 // errors are left in place for a demand read (or full Scrub) to trap —
-// the scrubber is a repair engine, not a fault-reporting path. A no-op
-// unless ECC is enabled.
+// the scrubber is a repair engine, not a fault-reporting path. Words in
+// absent pages are counted as examined but cost nothing: they are clean
+// by construction. A no-op unless ECC is enabled.
 func (m *Memory) ScrubStep(n int) int {
-	if m.ecc == nil || n <= 0 {
+	if m.check != checkECC || n <= 0 {
 		return 0
 	}
-	if n > len(m.data) {
-		n = len(m.data)
-	}
+	left := min(uint64(n), m.words)
+	m.eccStats.ScrubWords += left
 	before := m.eccStats.Corrected
-	for j := 0; j < n; j++ {
+	for left > 0 {
 		i := m.scrubCursor
-		m.scrubCursor++
-		if m.scrubCursor >= uint64(len(m.data)) {
+		end := min(m.pageEnd(i), i+left)
+		if p := m.pages[i>>pageShift]; p != nil {
+			for j := i; j < end; j++ {
+				m.verifyECC(p, j&pageMask)
+			}
+		}
+		left -= end - i
+		m.scrubCursor = end
+		if m.scrubCursor >= m.words {
 			m.scrubCursor = 0
 		}
-		m.verifyECC(i)
 	}
-	m.eccStats.ScrubWords += uint64(n)
 	return int(m.eccStats.Corrected - before)
 }

@@ -67,41 +67,90 @@ func (e *ParityError) Error() string {
 // (docs/ROBUSTNESS.md).
 func (e *ParityError) CorruptionDetected() bool { return true }
 
+// Physical memory is stored in 4 KB pages of pageWords words, allocated
+// on the first write of a non-zero word or a tag. Physical space "is
+// allocated on a page-by-page basis, independent of segmentation"
+// (Sec 4.2), so a job pays for the pages it touches, not for the whole
+// memory: an absent page reads as untagged zero, and its check bits —
+// the parity or SECDED bits of a zero word are zero — are consistent.
+const (
+	pageShift = 9
+	pageWords = 1 << pageShift
+	pageBytes = pageWords * word.BytesPerWord
+	pageMask  = pageWords - 1
+)
+
+// page holds every plane of one storage page. Its zero value is a page
+// of untagged zero words with consistent check bits.
+type page struct {
+	data [pageWords]uint64
+	tags [pageWords / 64]uint64 // 1 bit per word
+	// parity is an even-parity bit per word covering the 64 data bits
+	// plus the tag bit, kept while the parity plane is enabled.
+	parity [pageWords / 64]uint64
+	// ecc is the SECDED check byte per word (see ecc.go), kept while the
+	// ECC plane is enabled.
+	ecc [pageWords]uint8
+}
+
+func (p *page) word(j uint64) word.Word {
+	return word.Word{Bits: p.data[j], Tag: p.tags[j/64]>>(j%64)&1 != 0}
+}
+
+func (p *page) setTag(j uint64, t bool) {
+	if t {
+		p.tags[j/64] |= 1 << (j % 64)
+	} else {
+		p.tags[j/64] &^= 1 << (j % 64)
+	}
+}
+
+func (p *page) parityAt(j uint64) bool { return p.parity[j/64]>>(j%64)&1 != 0 }
+
+func (p *page) setParity(j uint64, b bool) {
+	if b {
+		p.parity[j/64] |= 1 << (j % 64)
+	} else {
+		p.parity[j/64] &^= 1 << (j % 64)
+	}
+}
+
+// Check disciplines: at most one check plane is active.
+const (
+	checkNone uint8 = iota
+	// checkParity models the paper's implicit reliability assumption —
+	// a tag bit is only unforgeable if the memory system can tell a
+	// stored word from a decayed one (see EnableParity).
+	checkParity
+	// checkECC is the SECDED plane (ecc.go): writes maintain it, reads
+	// correct single-bit errors through it.
+	checkECC
+)
+
 // Memory is a tagged physical memory. The tag plane is stored separately
 // from the data plane, one bit per word, exactly mirroring the hardware
 // cost accounting of Sec 4.1.
 type Memory struct {
-	data []uint64
-	tags []uint64 // bitmap, 1 bit per word
-	// parity, when non-nil, is an even-parity bit per word covering the
-	// 64 data bits plus the tag bit. Writes maintain it; reads verify it.
-	// It models the paper's implicit reliability assumption — a tag bit
-	// is only unforgeable if the memory system can tell a stored word
-	// from a decayed one (see EnableParity).
-	parity []uint64
-	// ecc, when non-nil, is the SECDED check plane: one check byte per
-	// word (see ecc.go). Mutually exclusive with parity; writes maintain
-	// it, reads correct single-bit errors through it.
-	ecc         []uint8
+	words       uint64
+	pages       []*page // nil: absent, reads as untagged zero
+	check       uint8   // checkNone, checkParity or checkECC
 	eccStats    ECCStats
 	scrubCursor uint64 // ScrubStep's rotating position
 }
 
 // New returns a physical memory of the given size in bytes, rounded up
-// to a whole number of words. All words are untagged zero.
+// to a whole number of words. All words are untagged zero, and no page
+// is allocated until it is written.
 func New(sizeBytes uint64) *Memory {
 	words := (sizeBytes + word.BytesPerWord - 1) / word.BytesPerWord
-	return &Memory{
-		data: make([]uint64, words),
-		tags: make([]uint64, (words+63)/64),
-	}
+	return &Memory{words: words, pages: make([]*page, (words+pageMask)>>pageShift)}
 }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() uint64 { return uint64(len(m.data)) * word.BytesPerWord }
+func (m *Memory) Size() uint64 { return m.words * word.BytesPerWord }
 
 // Words returns the memory size in words.
-func (m *Memory) Words() uint64 { return uint64(len(m.data)) }
+func (m *Memory) Words() uint64 { return m.words }
 
 // index maps a physical byte address to its word index, returning a
 // bare sentinel on failure so the hot path never formats anything.
@@ -110,7 +159,7 @@ func (m *Memory) index(paddr uint64) (uint64, error) {
 		return 0, ErrUnaligned
 	}
 	i := paddr / word.BytesPerWord
-	if i >= uint64(len(m.data)) {
+	if i >= m.words {
 		return 0, ErrOutOfRange
 	}
 	return i, nil
@@ -125,6 +174,19 @@ func (m *Memory) addrErr(op string, paddr uint64, err error) error {
 	return &AddrError{Op: op, Addr: paddr, Mem: m.Size(), Err: err}
 }
 
+// alloc makes page k present.
+func (m *Memory) alloc(k uint64) *page {
+	p := new(page)
+	m.pages[k] = p
+	return p
+}
+
+// pageEnd is the word index where the page holding word i ends: the
+// next page boundary, or the end of memory.
+func (m *Memory) pageEnd(i uint64) uint64 {
+	return min(i&^pageMask+pageWords, m.words)
+}
+
 // ReadWord returns the tagged word at physical byte address paddr, which
 // must be word-aligned and in range. With parity enabled, a word whose
 // stored bits disagree with its parity bit returns a *ParityError
@@ -134,11 +196,24 @@ func (m *Memory) ReadWord(paddr uint64) (word.Word, error) {
 	if err != nil {
 		return word.Word{}, m.addrErr("read", paddr, err)
 	}
-	if m.ecc != nil && !m.verifyECC(i) {
+	p, j := m.pages[i>>pageShift], i&pageMask
+	switch {
+	case p == nil:
+		return word.Word{}, nil
+	case m.check != checkNone:
+		return m.read(p, j, paddr)
+	}
+	return p.word(j), nil
+}
+
+// read returns word j of present page p (at paddr), verifying it
+// against the active check plane.
+func (m *Memory) read(p *page, j, paddr uint64) (word.Word, error) {
+	if m.check == checkECC && !m.verifyECC(p, j) {
 		return word.Word{}, &ECCError{Addr: paddr}
 	}
-	w := word.Word{Bits: m.data[i], Tag: m.tagAt(i)}
-	if m.parity != nil && m.parityAt(i) != wordParity(w) {
+	w := p.word(j)
+	if m.check == checkParity && p.parityAt(j) != wordParity(w) {
 		return word.Word{}, &ParityError{Addr: paddr}
 	}
 	return w, nil
@@ -150,56 +225,164 @@ func (m *Memory) WriteWord(paddr uint64, w word.Word) error {
 	if err != nil {
 		return m.addrErr("write", paddr, err)
 	}
-	m.data[i] = w.Bits
-	m.setTag(i, w.Tag)
-	if m.parity != nil {
-		m.setParity(i, wordParity(w))
+	p := m.pages[i>>pageShift]
+	if p == nil {
+		if w.IsZero() {
+			return nil // an absent page already reads as this word
+		}
+		p = m.alloc(i >> pageShift)
 	}
-	if m.ecc != nil {
-		m.ecc[i] = checkByte(w)
+	m.write(p, i&pageMask, w)
+	return nil
+}
+
+// write stores w as word j of present page p, keeping the active check
+// plane coherent.
+func (m *Memory) write(p *page, j uint64, w word.Word) {
+	p.data[j] = w.Bits
+	p.setTag(j, w.Tag)
+	if m.check != checkNone {
+		m.writeCheck(p, j, w)
+	}
+}
+
+// writeCheck updates the active check plane for word j of p, just
+// written with w.
+func (m *Memory) writeCheck(p *page, j uint64, w word.Word) {
+	switch m.check {
+	case checkParity:
+		p.setParity(j, wordParity(w))
+	case checkECC:
+		p.ecc[j] = checkByte(w)
+	}
+}
+
+// ReadWords fills dst with the words starting at physical byte address
+// paddr, looking each page up once. It stops at the first word ReadWord
+// would reject, returning the same error with the words before it read
+// (and, under ECC, corrected) exactly as a ReadWord loop would.
+func (m *Memory) ReadWords(paddr uint64, dst []word.Word) error {
+	for n := 0; n < len(dst); {
+		a := paddr + uint64(n)*word.BytesPerWord
+		i, err := m.index(a)
+		if err != nil {
+			return m.addrErr("read", a, err)
+		}
+		chunk := dst[n:min(len(dst), n+int(m.pageEnd(i)-i))]
+		switch p := m.pages[i>>pageShift]; {
+		case p == nil:
+			clear(chunk)
+		case m.check == checkNone:
+			for c := range chunk {
+				chunk[c] = p.word((i + uint64(c)) & pageMask)
+			}
+		default:
+			for c := range chunk {
+				w, err := m.read(p, (i+uint64(c))&pageMask, a+uint64(c)*word.BytesPerWord)
+				if err != nil {
+					return err
+				}
+				chunk[c] = w
+			}
+		}
+		n += len(chunk)
 	}
 	return nil
 }
 
-func (m *Memory) tagAt(i uint64) bool { return m.tags[i/64]>>(i%64)&1 != 0 }
-
-func (m *Memory) setTag(i uint64, t bool) {
-	if t {
-		m.tags[i/64] |= 1 << (i % 64)
-	} else {
-		m.tags[i/64] &^= 1 << (i % 64)
+// WriteWords stores src at the words starting at physical byte address
+// paddr, looking each page up once; a page it would fill with untagged
+// zeros stays absent. Like a WriteWord loop, it stops at the first
+// misaligned or out-of-range word with the words before it written.
+func (m *Memory) WriteWords(paddr uint64, src []word.Word) error {
+	for n := 0; n < len(src); {
+		a := paddr + uint64(n)*word.BytesPerWord
+		i, err := m.index(a)
+		if err != nil {
+			return m.addrErr("write", a, err)
+		}
+		chunk := src[n:min(len(src), n+int(m.pageEnd(i)-i))]
+		k := i >> pageShift
+		p := m.pages[k]
+		if p == nil && !allZero(chunk) {
+			p = m.alloc(k)
+		}
+		if p != nil {
+			for c, w := range chunk {
+				m.write(p, (i+uint64(c))&pageMask, w)
+			}
+		}
+		n += len(chunk)
 	}
+	return nil
+}
+
+func allZero(ws []word.Word) bool {
+	for _, w := range ws {
+		if !w.IsZero() {
+			return false
+		}
+	}
+	return true
 }
 
 // ZeroRange clears size bytes starting at paddr (word aligned), data and
 // tags both — this is what frame recycling does before handing memory to
 // a new owner so stale pointers can never leak between protection
-// domains.
+// domains. A page the range covers whole becomes absent again; like a
+// WriteWord loop, a range running past the end of memory is cleared up
+// to the end and then reported.
 func (m *Memory) ZeroRange(paddr, size uint64) error {
 	if size%word.BytesPerWord != 0 {
 		return fmt.Errorf("mem: zero range size %#x not word aligned", size)
 	}
-	for off := uint64(0); off < size; off += word.BytesPerWord {
-		if err := m.WriteWord(paddr+off, word.Word{}); err != nil {
-			return err
+	for off := uint64(0); off < size; {
+		a := paddr + off
+		i, err := m.index(a)
+		if err != nil {
+			return m.addrErr("write", a, err)
 		}
+		end := min(m.pageEnd(i), i+(size-off)/word.BytesPerWord)
+		k := i >> pageShift
+		switch p := m.pages[k]; {
+		case p == nil:
+		case i&pageMask == 0 && end == m.pageEnd(i):
+			m.pages[k] = nil
+		default:
+			for j := i; j < end; j++ {
+				m.write(p, j&pageMask, word.Word{})
+			}
+		}
+		off += (end - i) * word.BytesPerWord
 	}
 	return nil
 }
 
 // TaggedWordsIn counts the tagged (pointer) words in the size-byte range
 // at paddr. The address-space garbage collector uses this scan: "pointers
-// are self identifying via the tag bit" (Sec 4.3).
+// are self identifying via the tag bit" (Sec 4.3). Absent pages hold no
+// tags and are skipped.
 func (m *Memory) TaggedWordsIn(paddr, size uint64) (int, error) {
 	n := 0
-	for off := uint64(0); off+word.BytesPerWord <= size; off += word.BytesPerWord {
-		w, err := m.ReadWord(paddr + off)
+	for off := uint64(0); off+word.BytesPerWord <= size; {
+		a := paddr + off
+		i, err := m.index(a)
 		if err != nil {
-			return n, err
+			return n, m.addrErr("read", a, err)
 		}
-		if w.Tag {
-			n++
+		end := min(m.pageEnd(i), i+(size-off)/word.BytesPerWord)
+		if p := m.pages[i>>pageShift]; p != nil {
+			for j := i; j < end; j++ {
+				w, err := m.read(p, j&pageMask, a+(j-i)*word.BytesPerWord)
+				if err != nil {
+					return n, err
+				}
+				if w.Tag {
+					n++
+				}
+			}
 		}
+		off += (end - i) * word.BytesPerWord
 	}
 	return n, nil
 }
@@ -232,8 +415,9 @@ func (m *Memory) SetByteAt(paddr uint64, b byte) error {
 
 // OverheadBytes returns the storage cost of the tag plane in bytes
 // (rounded up), the "small increase in the amount of memory required"
-// of Sec 4.1.
-func (m *Memory) OverheadBytes() uint64 { return uint64(len(m.tags)) * 8 }
+// of Sec 4.1: one bit per word of the whole memory, whether or not its
+// page is present.
+func (m *Memory) OverheadBytes() uint64 { return (m.words + 63) / 64 * 8 }
 
 // wordParity computes the even-parity bit over the 64 data bits and the
 // tag bit of w.
@@ -245,16 +429,6 @@ func wordParity(w word.Word) bool {
 	return p != 0
 }
 
-func (m *Memory) parityAt(i uint64) bool { return m.parity[i/64]>>(i%64)&1 != 0 }
-
-func (m *Memory) setParity(i uint64, p bool) {
-	if p {
-		m.parity[i/64] |= 1 << (i % 64)
-	} else {
-		m.parity[i/64] &^= 1 << (i % 64)
-	}
-}
-
 // EnableParity turns on the per-word parity plane: every stored word
 // gains an even-parity bit covering data and tag, writes keep it
 // coherent, and reads verify it. A word altered by any route other than
@@ -263,45 +437,57 @@ func (m *Memory) setParity(i uint64, p bool) {
 // a live memory is always consistent. Supersedes an active ECC plane
 // (at most one check discipline runs at a time).
 func (m *Memory) EnableParity() {
-	m.ecc = nil
-	m.parity = make([]uint64, (uint64(len(m.data))+63)/64)
-	for i := uint64(0); i < uint64(len(m.data)); i++ {
-		m.setParity(i, wordParity(word.Word{Bits: m.data[i], Tag: m.tagAt(i)}))
+	m.check = checkParity
+	for _, p := range m.pages {
+		if p == nil {
+			continue
+		}
+		for j := uint64(0); j < pageWords; j++ {
+			p.setParity(j, wordParity(p.word(j)))
+		}
 	}
 }
 
 // ParityEnabled reports whether the parity plane is active.
-func (m *Memory) ParityEnabled() bool { return m.parity != nil }
+func (m *Memory) ParityEnabled() bool { return m.check == checkParity }
 
 // FlipBit models a soft error: it inverts one bit of the word at paddr
 // — bit 0..63 of the data, or the tag bit for bit 64 — WITHOUT updating
 // the parity plane, exactly as a cosmic-ray upset would decay a DRAM
 // cell underneath its check bits. With parity enabled the next ReadWord
 // of the word reports a *ParityError; a WriteWord first repairs it
-// (the fault was masked by overwrite).
+// (the fault was masked by overwrite). A flip in an absent page makes
+// the page present, so the decayed word is there to be read.
 func (m *Memory) FlipBit(paddr uint64, bit uint) error {
 	i, err := m.index(paddr)
 	if err != nil {
 		return m.addrErr("flip", paddr, err)
 	}
+	if bit > 64 && (bit > 72 || m.check != checkECC) {
+		return fmt.Errorf("mem: flip bit %d out of range (0..64)", bit)
+	}
+	p := m.pages[i>>pageShift]
+	if p == nil {
+		p = m.alloc(i >> pageShift)
+	}
+	j := i & pageMask
 	switch {
 	case bit < 64:
-		m.data[i] ^= 1 << bit
+		p.data[j] ^= 1 << bit
 	case bit == 64:
-		m.tags[i/64] ^= 1 << (i % 64)
-	case bit <= 72 && m.ecc != nil:
+		p.tags[j/64] ^= 1 << (j % 64)
+	default:
 		// Bits 65..72 decay the SECDED check byte itself (seven Hamming
 		// bits then the overall parity bit) — check storage is DRAM too.
-		m.ecc[i] ^= 1 << (bit - 65)
-	default:
-		return fmt.Errorf("mem: flip bit %d out of range (0..64)", bit)
+		p.ecc[j] ^= 1 << (bit - 65)
 	}
 	return nil
 }
 
 // Scrub sweeps the whole check plane against the stored words — the
 // background-scrubber pass that finds latent soft errors before a load
-// does — and returns the number of words still bad afterwards.
+// does — and returns the number of words still bad afterwards. Absent
+// pages are clean by construction and skipped.
 //
 // With the parity plane active the sweep is detect-only: it counts the
 // words whose parity disagrees with their contents. With the SECDED
@@ -310,23 +496,22 @@ func (m *Memory) FlipBit(paddr uint64, bit uint) error {
 // uncorrectable double-bit words are returned. Zero when neither plane
 // is enabled.
 func (m *Memory) Scrub() int {
-	if m.ecc != nil {
-		bad := 0
-		for i := range m.data {
-			if !m.verifyECC(uint64(i)) {
-				bad++
-			}
-		}
-		return bad
-	}
-	if m.parity == nil {
+	if m.check == checkNone {
 		return 0
 	}
 	bad := 0
-	for i := range m.data {
-		w := word.Word{Bits: m.data[i], Tag: m.tagAt(uint64(i))}
-		if m.parityAt(uint64(i)) != wordParity(w) {
-			bad++
+	for _, p := range m.pages {
+		if p == nil {
+			continue
+		}
+		for j := uint64(0); j < pageWords; j++ {
+			if m.check == checkECC {
+				if !m.verifyECC(p, j) {
+					bad++
+				}
+			} else if p.parityAt(j) != wordParity(p.word(j)) {
+				bad++
+			}
 		}
 	}
 	return bad
@@ -339,5 +524,8 @@ func (m *Memory) PeekWord(paddr uint64) (word.Word, error) {
 	if err != nil {
 		return word.Word{}, m.addrErr("peek", paddr, err)
 	}
-	return word.Word{Bits: m.data[i], Tag: m.tagAt(i)}, nil
+	if p := m.pages[i>>pageShift]; p != nil {
+		return p.word(i & pageMask), nil
+	}
+	return word.Word{}, nil
 }

@@ -235,3 +235,48 @@ func TestByteWriteClearsTag(t *testing.T) {
 		t.Error("byte read cleared a tag")
 	}
 }
+
+// A frame released twice must not be handed to two owners: the second
+// Release is refused while another frame is still in use, and so is a
+// frame beyond the end of memory.
+func TestFrameReleaseRejectsDoubleAndOutOfRange(t *testing.T) {
+	fa, _ := NewFrameAllocator(New(16*4096), 4096)
+	a, _ := fa.Alloc()
+	b, _ := fa.Alloc()
+	if err := fa.Release(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := fa.Release(a); err == nil {
+		t.Error("second release of the same frame accepted")
+	}
+	if fa.Free() != 15 {
+		t.Errorf("Free = %d with frame %#x in use, want 15", fa.Free(), b)
+	}
+	x, _ := fa.Alloc()
+	y, _ := fa.Alloc()
+	if x == y || x == b || y == b {
+		t.Errorf("frames handed out twice: %#x, %#x with %#x in use", x, y, b)
+	}
+	if err := fa.Release(16 * 4096); err == nil {
+		t.Error("release of a frame beyond memory accepted")
+	}
+	if err := fa.Claim(16 * 4096); err == nil {
+		t.Error("claim of a frame beyond memory accepted")
+	}
+}
+
+// Claim keeps the free list's order: the frames after it come out as
+// they would have, minus the claimed one.
+func TestFrameClaimKeepsOrder(t *testing.T) {
+	fa, _ := NewFrameAllocator(New(8*4096), 4096)
+	for _, f := range []uint64{2, 5, 0} {
+		if err := fa.Claim(f * 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []uint64{1, 3, 4, 6, 7} {
+		if f, err := fa.Alloc(); err != nil || f != want*4096 {
+			t.Fatalf("Alloc = %#x, %v; want %#x", f, err, want*4096)
+		}
+	}
+}

@@ -374,10 +374,16 @@ func (r *Receiver) Deliver(f *Frame) error {
 	return &MigrateError{Msg: "unexpected frame kind " + f.Kind.String()}
 }
 
+// maxPreallocChunks caps the reassembly buffer a chunk count can
+// reserve before its chunks arrive: 8 MB, a whole MMachine memory.
+const maxPreallocChunks = 8 << 20 / MaxFramePayload
+
 func (r *Receiver) deliverImage(f *Frame) error {
 	if f.Chunk == 0 {
 		r.curRound = f.Round
-		r.curBuf = r.curBuf[:0]
+		// Size the buffer from the chunk count once; the count comes off
+		// the wire, so a larger image grows past the cap by append.
+		r.curBuf = make([]byte, 0, int(min(f.Chunks, maxPreallocChunks))*MaxFramePayload)
 		r.curNext = 0
 	}
 	if f.Round != r.curRound || f.Chunk != r.curNext {
@@ -472,6 +478,7 @@ func Run(k *kernel.Kernel, link *Link, recv *Receiver, step func(cycles uint64),
 		}
 		img := src.delta(cp, round)
 		var buf bytes.Buffer
+		buf.Grow(persist.EncodedSize(img))
 		hdr := persist.Header{
 			Node:  uint32(cfg.Node),
 			Gen:   uint64(round),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -380,5 +381,38 @@ func benchRun(b *testing.B, dim int) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(instr()-before)/sec, "sim-instr/s")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Cycle()-start), "ns/mesh-cycle")
+	}
+}
+
+// Booting the default 2×2×2 mesh allocates what its eight kernels touch:
+// node memory pages appear on first write, and each cache's lines are
+// one array.
+func TestNewAllocatesLittle(t *testing.T) {
+	boot := func() {
+		if _, err := New(DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boot()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	boot()
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 6<<20 {
+		t.Errorf("New(DefaultConfig()) allocates %d bytes, want under 6 MB", n)
+	}
+	if n := after.Mallocs - before.Mallocs; n >= 1000 {
+		t.Errorf("New(DefaultConfig()) allocates %d objects, want under 1,000", n)
+	}
+}
+
+// BenchmarkNew boots the default 2×2×2 mesh, the setup every mesh job
+// pays before its first cycle.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -81,6 +81,8 @@ const (
 	headerBytes = 8 + 1 + 4 + 8 + 8 + 8 + 4 // magic..nsect, before hcrc
 
 	threadRecBytes = 8 + 1 + 8 + 9 + 16*9 // domain, state, instret, ip, regs
+
+	sectionHdrBytes = 1 + 8 + 4 // id, length, crc
 )
 
 // FormatError is the decoder's only failure mode: every torn,
@@ -152,6 +154,26 @@ func (s *sectionBuf) page(img kernel.PageImage, withFrame bool) {
 	}
 }
 
+// pageRecBytes is the size of one page record (sectionBuf.page).
+func pageRecBytes(withFrame bool) int {
+	if withFrame {
+		return 16 + pageBytes
+	}
+	return 8 + pageBytes
+}
+
+// EncodedSize returns the number of bytes Encode writes for cp, so a
+// caller can size its buffer once.
+func EncodedSize(cp *kernel.Checkpoint) int {
+	meta := 8 + 8 + 8 + 4 + 16*len(cp.Segments) + 4 + 8*len(cp.Revoked)
+	return headerBytes + 4 + numSections*sectionHdrBytes + meta +
+		4 + threadRecBytes*len(cp.Threads) +
+		4 + pageRecBytes(true)*len(cp.Resident) +
+		4 + pageRecBytes(false)*len(cp.Swapped) +
+		4 + 8*len(cp.Dropped) +
+		4 + 8*len(cp.SwapDropped)
+}
+
 // Encode writes cp as one image file body. Page images must hold
 // exactly one page of words (kernel captures always do).
 func Encode(w io.Writer, hdr Header, cp *kernel.Checkpoint) error {
@@ -195,12 +217,14 @@ func Encode(w io.Writer, hdr Header, cp *kernel.Checkpoint) error {
 		}
 	}
 
-	res := sectionBuf{id: secResident}
+	// The page sections are most of an image: size them from their page
+	// counts instead of growing them a word at a time.
+	res := sectionBuf{id: secResident, buf: make([]byte, 0, 4+pageRecBytes(true)*len(cp.Resident))}
 	res.u32(uint32(len(cp.Resident)))
 	for _, img := range cp.Resident {
 		res.page(img, true)
 	}
-	swp := sectionBuf{id: secSwapped}
+	swp := sectionBuf{id: secSwapped, buf: make([]byte, 0, 4+pageRecBytes(false)*len(cp.Swapped))}
 	swp.u32(uint32(len(cp.Swapped)))
 	for _, img := range cp.Swapped {
 		swp.page(img, false)
@@ -233,7 +257,7 @@ func Encode(w io.Writer, hdr Header, cp *kernel.Checkpoint) error {
 		return err
 	}
 	for _, s := range []*sectionBuf{&meta, &ths, &res, &swp, &drp, &sdr} {
-		sh := make([]byte, 0, 13)
+		sh := make([]byte, 0, sectionHdrBytes)
 		sh = append(sh, s.id)
 		sh = binary.LittleEndian.AppendUint64(sh, uint64(len(s.buf)))
 		sh = binary.LittleEndian.AppendUint32(sh, crc32.ChecksumIEEE(s.buf))

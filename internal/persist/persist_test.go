@@ -472,3 +472,18 @@ func TestWriteGenerationValidation(t *testing.T) {
 		t.Errorf("valid base generation rejected: %v", err)
 	}
 }
+
+// EncodedSize is exact: a caller that grows its buffer by it never
+// grows it again.
+func TestEncodedSizeExact(t *testing.T) {
+	for _, delta := range []bool{false, true} {
+		cp := syntheticImage(delta)
+		hdr := Header{Gen: 2, Parent: 1, Delta: delta}
+		if !delta {
+			hdr.Parent = 2
+		}
+		if got, want := EncodedSize(cp), len(encodeImage(t, hdr, cp)); got != want {
+			t.Errorf("delta=%v: EncodedSize = %d, Encode wrote %d bytes", delta, got, want)
+		}
+	}
+}

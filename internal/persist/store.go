@@ -246,6 +246,7 @@ func (st *Store) WriteGeneration(gen, parent, cycle uint64, cps []*kernel.Checkp
 	g := &genInfo{gen: gen, parent: parent, cycle: cycle, delta: delta}
 	for i, cp := range cps {
 		var buf bytes.Buffer
+		buf.Grow(EncodedSize(cp))
 		hdr := Header{Node: uint32(i), Gen: gen, Parent: parent, Cycle: cycle, Delta: delta}
 		if err := Encode(&buf, hdr, cp); err != nil {
 			return err

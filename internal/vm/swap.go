@@ -57,12 +57,8 @@ func (s *Space) SwapOut(vaddr uint64) error {
 	}
 	s.ensureSwap()
 	buf := make(swapPage, PageSize/word.BytesPerWord)
-	for i := range buf {
-		w, err := s.Phys.ReadWord(pte.Frame + uint64(i)*word.BytesPerWord)
-		if err != nil {
-			return err
-		}
-		buf[i] = w
+	if err := s.Phys.ReadWords(pte.Frame, buf); err != nil {
+		return err
 	}
 	s.swap[page] = buf
 	s.trackSwap(page)
@@ -92,10 +88,8 @@ func (s *Space) SwapIn(vaddr uint64) error {
 	if err != nil {
 		return fmt.Errorf("vm: swap-in of %#x: %w", page, err)
 	}
-	for i, w := range buf {
-		if err := s.Phys.WriteWord(frame+uint64(i)*word.BytesPerWord, w); err != nil {
-			return err
-		}
+	if err := s.Phys.WriteWords(frame, buf); err != nil {
+		return err
 	}
 	if err := s.PT.Map(page, frame); err != nil {
 		return err
