@@ -1,15 +1,16 @@
 # Developer entry points. `make check` is the tier-1 gate: formatting,
-# vet, the full test suite, the benchmark module's golden-digest tests,
-# and a race-detector pass over every package with concurrency: the
-# telemetry layer's lock-free fast paths, the experiment worker pool,
-# and the fault-injection campaign pool. The multicomputer steps its
-# nodes on one goroutine, so it has no race pass.
+# vet, the full test suite, one run of every benchmark, the benchmark
+# module's golden-digest tests, and a race-detector pass over every
+# package with concurrency: the telemetry layer's lock-free fast paths,
+# the experiment worker pool, and the fault-injection campaign pool.
+# The multicomputer steps its nodes on one goroutine, so it has no race
+# pass.
 
 GO ?= go
 
-.PHONY: check fmt vet test bench-test race build bench bench-all bench-json bench-persist bench-migrate audit fuzz-short lint verify obsv jit flow persist migrate
+.PHONY: check fmt vet test bench-smoke bench-test race build bench audit fuzz-short lint verify obsv jit flow persist migrate
 
-check: fmt vet lint test bench-test race
+check: fmt vet lint test bench-smoke bench-test race
 
 build:
 	$(GO) build ./...
@@ -43,6 +44,12 @@ verify:
 
 test:
 	$(GO) test ./...
+
+# Every benchmark in the module, once: `go test` never runs them, and
+# their gates (0 allocs/op via testing.AllocsPerRun, "translator never
+# engaged", "workload stopped", wrong results) fail only when they run.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The benchmark module (bench/, its own go.mod, so `go test ./...` at
 # the root skips it): checks the seed-1 golden digests of all five
@@ -129,46 +136,16 @@ migrate:
 	$(GO) test -run 'TestStorePruneProperty' ./internal/persist/
 	$(GO) test -run 'TestCheckpointLs' ./cmd/mmsim/
 
-# Regenerate BENCH_persist.json: full gob image vs dirty-page delta at
-# 1%/10%/50% dirty (see docs/ROBUSTNESS.md; byte ratios are gated
-# deterministically by E28).
-bench-persist:
-	$(GO) test -run '^$$' -bench 'BenchmarkPersist' -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_persist.json
-
-# Regenerate BENCH_migrate.json: end-to-end pre-copy migration at
-# 1%/10%/50% dirty per round plus the wire codec (see
-# docs/ROBUSTNESS.md; the STW-vs-full-wire ratio is gated
-# deterministically by E29).
-bench-migrate:
-	$(GO) test -run '^$$' -bench 'BenchmarkMigrate' -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_migrate.json
-
-# Hot-path benchmarks (docs/PERFORMANCE.md). Updates the "current"
-# sections of BENCH_hotpath.json (interpreter, plus the mesh's Run row
-# in internal/multi; the CycleLoop anchor keeps the JIT rows out) and
-# BENCH_jit.json (compiled tier); the checked-in "baseline" numbers are
-# preserved. Then prints, without recording them, the per-job
-# allocation rows: the verifier per program, the memory word stream,
-# and the single-node and mesh boots.
+# Layer benchmarks (docs/PERFORMANCE.md): every `Benchmark*` row in
+# the module, each in the package of the layer it measures, five runs
+# apiece so every row has a median and a spread. End-to-end numbers
+# come from `bash bench/run.sh` and `bench/pairs.sh` (bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMachine_CycleLoop$$|BenchmarkRun$$' -benchmem . ./internal/multi/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_hotpath.json
-	$(GO) test -run '^$$' -bench 'BenchmarkMachine_CycleLoopJIT' -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_jit.json
-	$(GO) test -run '^$$' -bench 'BenchmarkVerify$$' -benchmem ./internal/capverify/
-	$(GO) test -run '^$$' -bench 'BenchmarkReadWriteWord$$' -benchmem ./internal/mem/
-	$(GO) test -run '^$$' -bench 'BenchmarkNew$$' -benchmem ./internal/kernel/ ./internal/multi/
-
-bench-all:
-	$(GO) test -bench=. -benchmem .
-
-# Regenerate the telemetry benchmark artifact (see docs/OBSERVABILITY.md).
-bench-json:
-	$(GO) run ./cmd/experiments -run E22 -json BENCH_telemetry.json > /dev/null
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 ./...
 
 # Live-introspection gate (docs/OBSERVABILITY.md): the E26 report
-# (histograms, causal spans, flight recorder, overhead budget) plus the
+# (metric namespace, event trace, histograms, causal spans, flight
+# recorder, overhead budgets) plus the
 # mmsim -serve / mmtop endpoint smoke tests, and the introspection unit
 # tests across the wired layers.
 obsv:

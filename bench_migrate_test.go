@@ -1,16 +1,15 @@
-// Benchmarks for the live-migration pipeline (E29's wall-time twin,
+// Benchmark for the live-migration pipeline (E29's wall-time twin,
 // docs/ROBUSTNESS.md): a full iterative pre-copy migration of the same
 // dense 200-page footprint the persist benchmarks use, at 1% / 10% /
-// 50% of the pages dirtied per pre-copy round, plus the wire codec in
-// isolation. `make bench-migrate` regenerates BENCH_migrate.json from
-// these. The acceptance target is the stop-the-world window at <= 10%
-// dirty beating the full-image wire time by >= 5x (gated
-// deterministically by E29); the stw-cycles / fullwire-cycles metrics
-// here are the same quantities with wall time alongside.
+// 50% of the pages dirtied per pre-copy round. The wire codec alone is
+// BenchmarkFrameCodec in internal/migrate. The acceptance target is
+// the stop-the-world window at <= 10% dirty beating the full-image wire
+// time by >= 5x (gated deterministically by E29); the stw-cycles /
+// fullwire-cycles metrics here are the same quantities with wall time
+// alongside.
 package repro
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/migrate"
@@ -50,36 +49,5 @@ func BenchmarkMigrate_PreCopy(b *testing.B) {
 			b.ReportMetric(float64(last.Rounds[0].WireCycles), "fullwire-cycles")
 			b.ReportMetric(float64(len(last.Rounds)), "rounds")
 		})
-	}
-}
-
-// BenchmarkMigrateFrame_Codec measures the wire codec alone: one
-// max-payload frame encoded and decoded (header + payload CRCs both
-// verified on the way back in).
-func BenchmarkMigrateFrame_Codec(b *testing.B) {
-	payload := make([]byte, migrate.MaxFramePayload)
-	for i := range payload {
-		payload[i] = byte(i*31 + 7)
-	}
-	f := &migrate.Frame{Kind: migrate.FrameImage, Round: 2, Seq: 7, Chunk: 1, Chunks: 4, Payload: payload}
-	raw, err := migrate.EncodeFrame(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw, err = migrate.EncodeFrame(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := migrate.DecodeFrame(raw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !bytes.Equal(got.Payload, payload) {
-			b.Fatal("payload mismatch")
-		}
 	}
 }

@@ -1,9 +1,8 @@
 // Benchmarks for the incremental checkpoint pipeline (E28's wall-time
 // twin, docs/ROBUSTNESS.md): a full gob image versus a dirty-page delta
 // in the durable on-disk encoding, at 1% / 10% / 50% of a dense
-// 200-page footprint dirty per capture. `make bench-persist`
-// regenerates BENCH_persist.json from these. The acceptance target is
-// the delta at 10% dirty beating the full image by >= 5x in both bytes
+// 200-page footprint dirty per capture. The acceptance target is the
+// delta at 10% dirty beating the full image by >= 5x in both bytes
 // (gated deterministically by E28) and ns/op.
 package repro
 

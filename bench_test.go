@@ -1,13 +1,10 @@
-// Benchmarks regenerating every reproduced figure/claim of the paper
-// (one benchmark per experiment in DESIGN.md's index). Run with:
-//
-//	go test -bench=. -benchmem
-//
+// Benchmarks of the simulator's cost to run each experiment's
+// mechanism (E3, E6–E14 in DESIGN.md's index), plus the checkpoint and
+// migration pipelines (bench_persist_test.go, bench_migrate_test.go).
 // The cycle-level results these correspond to are printed by
-// cmd/experiments; the benchmarks here measure the *simulator's* cost
-// of regenerating each artifact, plus microbenchmarks of the core
-// pointer operations (the combinational paths that a real MAP
-// implements in hardware).
+// cmd/experiments. Each layer's hot-entry row lives in its own package
+// (internal/core, internal/noc, internal/machine, ...); `make bench`
+// runs every row in the module.
 package repro
 
 import (
@@ -15,76 +12,17 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/buddy"
-	"repro/internal/capverify"
 	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/jit"
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/multi"
-	"repro/internal/noc"
-	"repro/internal/telemetry"
 	"repro/internal/word"
 	"repro/internal/workload"
 )
 
-// --- core pointer operations (Fig. 1 / Fig. 2 hardware paths) ---------
-
-func BenchmarkE1_PointerDecode(b *testing.B) {
-	w := mustMake(core.PermReadWrite, 12, 0x5a5a5a0).Word()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Decode(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE1_CheckLoad(b *testing.B) {
-	w := mustMake(core.PermReadWrite, 12, 0x5a5a000).Word()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.CheckLoad(w, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE2_LEA(b *testing.B) {
-	p := mustMake(core.PermReadWrite, 20, 1<<30)
-	var sink core.Pointer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q, err := core.LEA(p, int64(i&0xffff))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = q
-	}
-	_ = sink
-}
-
-func BenchmarkE2_LEAFaultPath(b *testing.B) {
-	p := mustMake(core.PermReadWrite, 6, 0x1000)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.LEA(p, 1<<20); err == nil {
-			b.Fatal("expected fault")
-		}
-	}
-}
-
-func BenchmarkE2_Restrict(b *testing.B) {
-	p := mustMake(core.PermReadWrite, 12, 0x4000)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Restrict(p, core.PermReadOnly); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- machine-level artifacts -------------------------------------------
 
-// benchMachineLoop builds and runs a kernel workload once per
+// benchKernelProgram builds and runs a kernel workload once per
 // iteration.
 func benchKernelProgram(b *testing.B, src string, segBytes uint64) {
 	b.Helper()
@@ -157,24 +95,6 @@ func BenchmarkE3_ProtectedCall(b *testing.B) {
 		k.Run(1_000_000)
 		if th.State != machine.Halted {
 			b.Fatalf("%v: %v", th.State, th.Fault)
-		}
-	}
-}
-
-func BenchmarkE4_TwoWayCall(b *testing.B) {
-	e, _ := experiments.Lookup("E4")
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE5_CacheBanks(b *testing.B) {
-	e, _ := experiments.Lookup("E5")
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -334,106 +254,6 @@ func benchTranslate(b *testing.B, m baseline.Model) {
 	}
 }
 
-// --- simulator throughput ------------------------------------------------
-
-// BenchmarkSimulatorIPS measures simulated instructions per second of
-// the full machine (useful to size experiment budgets).
-func BenchmarkSimulatorIPS(b *testing.B) {
-	cfg := machine.MMachine()
-	cfg.Clusters = 1
-	cfg.SlotsPerCluster = 1
-	cfg.PhysBytes = 4 << 20
-	k, err := kernel.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := mustAssemble(`
-	loop:
-		addi r2, r2, 1
-		br loop
-	`)
-	ip, err := k.LoadProgram(prog, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := k.Spawn(1, ip, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	k.Run(uint64(b.N))
-	b.StopTimer()
-	if k.M.Stats().Instructions == 0 {
-		b.Fatal("no instructions executed")
-	}
-}
-
-// The telemetry variants of the IPS benchmark size the observability
-// tax: an attached-but-disabled tracer must stay within a few percent
-// of the tracer-free loop (every emit site gates on Tracer.Enabled
-// before constructing an event), while full instruction tracing is
-// allowed to be expensive — it is opt-in via -trace/-trace-out.
-func benchSimulatorIPS(b *testing.B, attach func(k *kernel.Kernel)) {
-	b.Helper()
-	cfg := machine.MMachine()
-	cfg.Clusters = 1
-	cfg.SlotsPerCluster = 1
-	cfg.PhysBytes = 4 << 20
-	k, err := kernel.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := mustAssemble(`
-	loop:
-		addi r2, r2, 1
-		br loop
-	`)
-	ip, err := k.LoadProgram(prog, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := k.Spawn(1, ip, nil); err != nil {
-		b.Fatal(err)
-	}
-	if attach != nil {
-		attach(k)
-	}
-	b.ResetTimer()
-	k.Run(uint64(b.N))
-	b.StopTimer()
-	if k.M.Stats().Instructions == 0 {
-		b.Fatal("no instructions executed")
-	}
-}
-
-func BenchmarkSimulatorIPS_TelemetryDisabled(b *testing.B) {
-	benchSimulatorIPS(b, func(k *kernel.Kernel) {
-		k.SetTracer(telemetry.NewTracer(1 << 10)) // attached, all kinds masked off
-	})
-}
-
-func BenchmarkSimulatorIPS_EventsNoInstr(b *testing.B) {
-	benchSimulatorIPS(b, func(k *kernel.Kernel) {
-		tr := telemetry.NewTracer(1 << 10)
-		tr.EnableAll()
-		tr.Disable(telemetry.EvInstr)
-		k.SetTracer(tr)
-	})
-}
-
-func BenchmarkSimulatorIPS_FullTrace(b *testing.B) {
-	benchSimulatorIPS(b, func(k *kernel.Kernel) {
-		tr := telemetry.NewTracer(1 << 10)
-		tr.EnableAll()
-		k.SetTracer(tr)
-	})
-}
-
-func BenchmarkSimulatorIPS_Profiler(b *testing.B) {
-	benchSimulatorIPS(b, func(k *kernel.Kernel) {
-		k.M.Profiler = telemetry.NewProfiler(1)
-	})
-}
-
 func mustKernel(b *testing.B) *kernel.Kernel {
 	b.Helper()
 	cfg := machine.MMachine()
@@ -481,190 +301,4 @@ func BenchmarkE14_RemoteAccess(b *testing.B) {
 			b.Fatalf("%v: %v", th.State, th.Fault)
 		}
 	}
-}
-
-func BenchmarkE15_MeshSend(b *testing.B) {
-	n, err := noc.New(noc.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	now := uint64(0)
-	for i := 0; i < b.N; i++ {
-		arr, err := n.Send(i%8, (i+3)%8, now)
-		if err != nil {
-			b.Fatal(err)
-		}
-		now = arr
-	}
-}
-
-// --- design ablation: masked comparator vs bounds recompute ------------
-
-// leaRecompute is the conventional alternative to Fig. 2's masked
-// comparator: recompute segment base and limit, then range-check. Same
-// semantics, more datapath work — the bench quantifies the hardware
-// argument for the comparator.
-func leaRecompute(p core.Pointer, off int64) (core.Pointer, bool) {
-	base := p.Base()
-	limit := base + p.SegSize()
-	na := p.Addr() + uint64(off)
-	if na < base || na >= limit {
-		return core.Pointer{}, false
-	}
-	q, err := core.LEA(p, off) // reuse the committed path for the result
-	return q, err == nil
-}
-
-func BenchmarkAblation_LEAMaskedComparator(b *testing.B) {
-	p := mustMake(core.PermReadWrite, 20, 1<<30)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.LEA(p, int64(i&0xffff)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_LEARecomputeBounds(b *testing.B) {
-	p := mustMake(core.PermReadWrite, 20, 1<<30)
-	for i := 0; i < b.N; i++ {
-		if _, ok := leaRecompute(p, int64(i&0xffff)); !ok {
-			b.Fatal("unexpected bounds failure")
-		}
-	}
-}
-
-// --- wide issue ----------------------------------------------------------
-
-func BenchmarkE16_WideIssue(b *testing.B) {
-	e, _ := experiments.Lookup("E16")
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE20_DemandPaging(b *testing.B) {
-	e, _ := experiments.Lookup("E20")
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE21_SoftwareSwitch(b *testing.B) {
-	e, _ := experiments.Lookup("E21")
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- hot-path benchmarks (BENCH_hotpath.json) ----------------------------
-//
-// These measure the simulator's raw cycle-loop throughput, reported as
-// simulated instructions per host-second. BenchmarkMachine_CycleLoop
-// steps a single-cluster machine through a non-terminating workload so
-// the steady-state fetch/decode/execute path is isolated (0 allocs/op
-// is the hit-path contract). The mesh's row is BenchmarkRun in
-// internal/multi.
-
-// hotpathFib is an ALU/branch loop: fetch + decode dominate.
-const hotpathFib = `
-	ldi  r3, 0
-	ldi  r4, 1
-loop:
-	add  r6, r3, r4
-	mov  r3, r4
-	mov  r4, r6
-	br   loop
-`
-
-// hotpathSweep walks a 2KB window of the scratch segment with paired
-// store/load traffic: the banked cache and translation paths dominate.
-const hotpathSweep = `
-	mov  r5, r1
-	ldi  r2, 256
-sweep:
-	st   r5, 0, r2
-	ld   r6, r5, 0
-	leai r5, r5, 8
-	subi r2, r2, 1
-	bnez r2, sweep
-	mov  r5, r1
-	ldi  r2, 256
-	br   sweep
-`
-
-func benchCycleLoop(b *testing.B, src string, segBytes uint64, useJIT bool) {
-	b.Helper()
-	prog := mustAssemble(src)
-	cfg := machine.MMachine()
-	cfg.Clusters = 1
-	cfg.SlotsPerCluster = 1
-	cfg.PhysBytes = 4 << 20
-	k, err := kernel.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if useJIT {
-		k.M.EnableJIT(jit.DefaultConfig())
-	}
-	ip, err := k.LoadProgram(prog, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	regs := map[int]word.Word{}
-	if segBytes > 0 {
-		seg, err := k.AllocSegment(segBytes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		regs[1] = seg.Word()
-	}
-	th, err := k.Spawn(1, ip, regs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if useJIT {
-		k.M.JITRegister(prog, ip.Addr(), capverify.Config{DataBytes: segBytes})
-	}
-	k.Run(4096) // warm the demand pager, TLB, caches and block heat
-	if th.State == machine.Faulted {
-		b.Fatalf("workload faulted: %v", th.Fault)
-	}
-	before := k.M.Stats().Instructions
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.M.Step()
-	}
-	b.StopTimer()
-	instr := k.M.Stats().Instructions - before
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(instr)/sec, "sim-instr/s")
-	}
-	if useJIT {
-		eng := k.M.JIT()
-		if eng.Counters.Compiled == 0 || eng.Counters.Entries == 0 {
-			b.Fatalf("translator never engaged: %+v", eng.Counters)
-		}
-	}
-}
-
-func BenchmarkMachine_CycleLoop(b *testing.B) {
-	b.Run("fib", func(b *testing.B) { benchCycleLoop(b, hotpathFib, 0, false) })
-	b.Run("sweep", func(b *testing.B) { benchCycleLoop(b, hotpathSweep, 4096, false) })
-}
-
-// BenchmarkMachine_CycleLoopJIT is the same workload pair with the
-// check-eliding superblock translator enabled (BENCH_jit.json): one
-// k.M.Step() call executes a whole compiled block, so sim-instr/s is
-// the honest cross-tier metric, not ns/op.
-func BenchmarkMachine_CycleLoopJIT(b *testing.B) {
-	b.Run("fib", func(b *testing.B) { benchCycleLoop(b, hotpathFib, 0, true) })
-	b.Run("sweep", func(b *testing.B) { benchCycleLoop(b, hotpathSweep, 4096, true) })
 }

@@ -4,41 +4,22 @@
 //
 // Usage:
 //
-//	experiments                      # run everything, E1..E24
+//	experiments                      # run every experiment
 //	experiments -run E6              # run one experiment
 //	experiments -list                # list experiment ids and titles
-//	experiments -json out.json       # also write machine-readable records
-//	experiments -run E22 -json -     # JSON for one experiment to stdout
-//
-// The JSON output contains one record per experiment: its id and title,
-// every table of the rendered report recovered as structured rows
-// (stats.ParseTables), and — for experiments that export them — a
-// telemetry metrics snapshot. docs/OBSERVABILITY.md documents the
-// schema and how BENCH_*.json files are derived from it.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// record is one experiment's machine-readable result.
-type record struct {
-	ID      string             `json:"id"`
-	Title   string             `json:"title"`
-	Tables  []stats.TableData  `json:"tables"`
-	Metrics telemetry.Snapshot `json:"metrics,omitempty"`
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -46,7 +27,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	runID := fs.String("run", "", "run a single experiment by id (e.g. E6)")
 	list := fs.Bool("list", false, "list experiments and exit")
-	jsonOut := fs.String("json", "", `also write machine-readable records to this file ("-" = stdout)`)
 	workers := fs.Int("workers", 0, "experiment worker pool size (0 = GOMAXPROCS, 1 = serial); output is identical either way")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -71,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	outs, errs := experiments.RunList(selected, *workers)
-	var records []record
 	for i, e := range selected {
 		out, err := outs[i], errs[i]
 		if err != nil {
@@ -82,41 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(selected) > 1 {
 			fmt.Fprintln(stdout)
 		}
-		if *jsonOut == "" {
-			continue
-		}
-		rec := record{ID: e.ID, Title: e.Title, Tables: stats.ParseTables(out)}
-		if e.Metrics != nil {
-			snap, err := e.Metrics()
-			if err != nil {
-				fmt.Fprintf(stderr, "experiments: %s metrics: %v\n", e.ID, err)
-				return 1
-			}
-			rec.Metrics = snap
-		}
-		records = append(records, rec)
-	}
-
-	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, records, stdout); err != nil {
-			fmt.Fprintln(stderr, "experiments:", err)
-			return 1
-		}
 	}
 	return 0
-}
-
-func writeJSON(path string, records []record, stdout io.Writer) error {
-	var w io.Writer = stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(records)
 }

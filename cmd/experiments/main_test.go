@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 )
@@ -46,52 +44,5 @@ func TestUnknownID(t *testing.T) {
 func TestBadFlag(t *testing.T) {
 	if code, _, _ := runCLI("-nope"); code != 2 {
 		t.Errorf("exit %d", code)
-	}
-}
-
-func TestJSONSingleExperiment(t *testing.T) {
-	path := t.TempDir() + "/e1.json"
-	code, _, stderr := runCLI("-run", "E1", "-json", path)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []record
-	if err := json.Unmarshal(raw, &recs); err != nil {
-		t.Fatalf("json: %v", err)
-	}
-	if len(recs) != 1 || recs[0].ID != "E1" || recs[0].Title == "" {
-		t.Fatalf("records: %+v", recs)
-	}
-	if len(recs[0].Tables) == 0 || len(recs[0].Tables[0].Rows) == 0 {
-		t.Errorf("E1 record has no parsed tables: %+v", recs[0])
-	}
-}
-
-func TestJSONCarriesTelemetryMetrics(t *testing.T) {
-	path := t.TempDir() + "/e22.json"
-	code, _, stderr := runCLI("-run", "E22", "-json", path)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []record
-	if err := json.Unmarshal(raw, &recs); err != nil {
-		t.Fatalf("json: %v", err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("records: %d", len(recs))
-	}
-	// One counter from every layer must survive the round trip.
-	for _, name := range []string{"machine.cycles", "cache.l1.accesses", "vm.translations", "noc.msgs"} {
-		if recs[0].Metrics[name] <= 0 {
-			t.Errorf("metric %s = %v in JSON output", name, recs[0].Metrics[name])
-		}
 	}
 }

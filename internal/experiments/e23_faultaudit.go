@@ -5,18 +5,18 @@ import (
 	"sync"
 
 	"repro/internal/faultinject"
-	"repro/internal/telemetry"
 )
 
 func init() {
-	registerWithMetrics("E23",
+	register("E23",
 		"Robustness — deterministic fault-injection campaign: protection audit and checkpoint recovery",
-		runE23, metricsE23)
+		runE23)
 }
 
-// e23Campaign runs the default audit once per process: >10k seeded
-// injections across ten fault classes plus the checkpoint/kill/restore
-// recovery exercise. Cached so -json runs don't pay for it twice.
+// e23Once holds the default audit: >10k seeded injections across ten
+// fault classes plus the checkpoint/kill/restore recovery exercise. The
+// test suite renders E23 twice and reads the result, so the campaign
+// runs once per process.
 var e23Once struct {
 	sync.Once
 	res *faultinject.Result
@@ -53,14 +53,4 @@ func runE23() (string, error) {
 		"uninjected run); a killed node was detected by the watchdog and resumed from a kernel\n" +
 		"checkpoint with a bit-identical architectural fingerprint\n"
 	return out, nil
-}
-
-func metricsE23() (telemetry.Snapshot, error) {
-	res, err := e23Result()
-	if err != nil {
-		return nil, err
-	}
-	reg := telemetry.NewRegistry()
-	res.RegisterMetrics(reg)
-	return reg.Snapshot(), nil
 }

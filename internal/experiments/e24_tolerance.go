@@ -2,33 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/faultinject"
-	"repro/internal/telemetry"
 )
 
 func init() {
-	registerWithMetrics("E24",
+	register("E24",
 		"Robustness — fault-tolerance campaign: E23's fault mix absorbed by the self-healing stack",
-		runE24, metricsE24)
-}
-
-// e24Campaign runs the tolerant audit once per process: the E23 fault
-// mix rerun with ECC scrubbing, reliable NoC transport, and automatic
-// checkpoint-driven recovery enabled. Cached so -json runs don't pay
-// for it twice.
-var e24Once struct {
-	sync.Once
-	res *faultinject.Result
-	err error
-}
-
-func e24Result() (*faultinject.Result, error) {
-	e24Once.Do(func() {
-		e24Once.res, e24Once.err = faultinject.RunCampaign(faultinject.DefaultTolerantCampaign())
-	})
-	return e24Once.res, e24Once.err
+		runE24)
 }
 
 // runE24 closes the loop E23 opened: detection alone is table stakes —
@@ -37,7 +18,7 @@ func e24Result() (*faultinject.Result, error) {
 // detections, and the watchdog-driven auto-recovery must reproduce the
 // clean run's architectural fingerprint bit for bit.
 func runE24() (string, error) {
-	res, err := e24Result()
+	res, err := faultinject.RunCampaign(faultinject.DefaultTolerantCampaign())
 	if err != nil {
 		return "", err
 	}
@@ -56,14 +37,4 @@ func runE24() (string, error) {
 		"killed node from a coordinated checkpoint with no caller intervention, and the recovered\n" +
 		"run's architectural fingerprint equals the clean run's\n"
 	return out, nil
-}
-
-func metricsE24() (telemetry.Snapshot, error) {
-	res, err := e24Result()
-	if err != nil {
-		return nil, err
-	}
-	reg := telemetry.NewRegistry()
-	res.RegisterMetrics(reg)
-	return reg.Snapshot(), nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/faultinject"
@@ -12,15 +11,14 @@ import (
 	"repro/internal/machine"
 	"repro/internal/persist"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
 	"repro/internal/word"
 )
 
 func init() {
-	registerWithMetrics("E28",
+	register("E28",
 		"Robustness — incremental crash-safe checkpoints: delta chains restore bit-identically from every generation, damaged stores fall back, deltas beat full gob capture",
-		runE28, metricsE28)
+		runE28)
 }
 
 // E28 audits the durable checkpoint pipeline in three movements:
@@ -36,8 +34,8 @@ func init() {
 //  3. Capture cost — on a wide memory footprint, the bytes a delta
 //     writes at 1% / 10% / 50% dirty ratios versus a full gob image;
 //     the gate is ≥ 5× cheaper at 10% dirty. (Wall-time for the same
-//     comparison lives in the root benchmark suite → BENCH_persist.json;
-//     tables gate only on deterministic byte counts.)
+//     comparison is the root BenchmarkPersist_* rows; tables gate only
+//     on deterministic byte counts.)
 
 type e28ChainRow struct {
 	gen   uint64
@@ -60,19 +58,6 @@ type e28CostRow struct {
 	gobBytes   int
 	deltaBytes int
 	ratio      float64
-}
-
-var e28Once struct {
-	sync.Once
-	res *e28Results
-	err error
-}
-
-func e28Result() (*e28Results, error) {
-	e28Once.Do(func() {
-		e28Once.res, e28Once.err = e28Compute()
-	})
-	return e28Once.res, e28Once.err
 }
 
 // e28Workload boots the store-heavy loop used for the chain
@@ -299,7 +284,7 @@ func e28Compute() (*e28Results, error) {
 }
 
 func runE28() (string, error) {
-	res, err := e28Result()
+	res, err := e28Compute()
 	if err != nil {
 		return "", err
 	}
@@ -343,27 +328,6 @@ func runE28() (string, error) {
 		"store damage (torn write, truncation, bit rot, missing generation) was either masked\n" +
 		"or detected-and-recovered by falling back to an intact generation; and incremental\n" +
 		"capture at 10% dirty writes the required ≥5x fewer bytes than a full gob image\n" +
-		"(wall-time twin: make bench-persist → BENCH_persist.json)\n"
+		"(wall-time twin: root BenchmarkPersist_FullGob/BenchmarkPersist_Delta, make bench)\n"
 	return out, nil
-}
-
-func metricsE28() (telemetry.Snapshot, error) {
-	res, err := e28Result()
-	if err != nil {
-		return nil, err
-	}
-	reg := telemetry.NewRegistry()
-	res.campaign.RegisterMetrics(reg)
-	match := uint64(0)
-	if res.allMatch {
-		match = 1
-	}
-	reg.Counter("e28.chain.generations", func() uint64 { return uint64(len(res.chain)) })
-	reg.Counter("e28.chain.match", func() uint64 { return match })
-	for _, r := range res.cost {
-		ratio := uint64(r.ratio * 10)
-		pct := r.pct
-		reg.Counter(fmt.Sprintf("e28.cost.ratio_x10.%dpct", pct), func() uint64 { return ratio })
-	}
-	return reg.Snapshot(), nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/faultinject"
@@ -12,15 +11,14 @@ import (
 	"repro/internal/multi"
 	"repro/internal/noc"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
 	"repro/internal/word"
 )
 
 func init() {
-	registerWithMetrics("E29",
+	register("E29",
 		"Robustness — live node migration: iterative pre-copy converges, cutover STW is bounded by the final delta, aborts are bit-invisible, faulted wires recover by retransmission",
-		runE29, metricsE29)
+		runE29)
 }
 
 // E29 audits live migration in three movements:
@@ -35,7 +33,7 @@ func init() {
 //     per-round dirty rate, the rounds to converge and the cutover
 //     stop-the-world window; the gate is STW ≥ 5× smaller than the
 //     full-image transfer at every dirty rate ≤ 10%. (Wall-time twin:
-//     make bench-migrate → BENCH_migrate.json.)
+//     the root BenchmarkMigrate_PreCopy rows.)
 //  3. Migration-fault campaign — seeded frame loss/corruption/
 //     duplication/truncation on the migration wire plus source kill,
 //     standby crash and cutover interruption; the gate is zero
@@ -64,19 +62,6 @@ type e29Results struct {
 	probe    *migrate.Report
 	sweep    []e29SweepRow
 	campaign *faultinject.Result
-}
-
-var e29Once struct {
-	sync.Once
-	res *e29Results
-	err error
-}
-
-func e29Result() (*e29Results, error) {
-	e29Once.Do(func() {
-		e29Once.res, e29Once.err = e29Compute()
-	})
-	return e29Once.res, e29Once.err
 }
 
 // e29System boots the differential's 2-node mesh: the node-0 thread
@@ -328,7 +313,7 @@ func e29Compute() (*e29Results, error) {
 }
 
 func runE29() (string, error) {
-	res, err := e29Result()
+	res, err := e29Compute()
 	if err != nil {
 		return "", err
 	}
@@ -393,28 +378,6 @@ func runE29() (string, error) {
 		"the cutover window is bounded by the final delta (≥5x below the full image at\n" +
 		"≤10% dirty); and every seeded migration fault (lossy/corrupt/duplicated/torn\n" +
 		"frames, source kill, standby crash, cutover interrupt) was tolerated, with wire\n" +
-		"damage recovered by retransmission (wall-time twin: make bench-migrate)\n"
+		"damage recovered by retransmission (wall-time twin: root BenchmarkMigrate_PreCopy)\n"
 	return out, nil
-}
-
-func metricsE29() (telemetry.Snapshot, error) {
-	res, err := e29Result()
-	if err != nil {
-		return nil, err
-	}
-	reg := telemetry.NewRegistry()
-	res.campaign.RegisterMetrics(reg)
-	match := uint64(0)
-	if res.allMatch {
-		match = 1
-	}
-	reg.Counter("e29.diff.match", func() uint64 { return match })
-	reg.Counter("e29.probe.rounds", func() uint64 { return uint64(len(res.probe.Rounds)) })
-	reg.Counter("e29.probe.stw_cycles", func() uint64 { return res.probe.STWCycles })
-	for _, r := range res.sweep {
-		ratio := uint64(r.ratio * 10)
-		pct := r.pct
-		reg.Counter(fmt.Sprintf("e29.sweep.ratio_x10.%dpct", pct), func() uint64 { return ratio })
-	}
-	return reg.Snapshot(), nil
 }

@@ -1,8 +1,8 @@
 // Package experiments regenerates every figure and quantitative claim
 // of the paper as a printed table. Each experiment is a pure function
 // returning a rendered report; the registry maps experiment ids (E1 …
-// E13, as indexed in DESIGN.md) to runners so cmd/experiments and the
-// root benchmark suite share one implementation.
+// E30, as indexed in DESIGN.md and EXPERIMENTS.md; E22 is retired) to
+// runners so cmd/experiments and the tests share one implementation.
 //
 // The paper has no measured tables — its evaluation is Figures 1–5 plus
 // quantitative claims embedded in the text — so each experiment either
@@ -18,8 +18,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/telemetry"
 )
 
 // Experiment is one reproducible artifact.
@@ -28,10 +26,6 @@ type Experiment struct {
 	Title string
 	// Run produces the rendered report.
 	Run func() (string, error)
-	// Metrics, when non-nil, produces the experiment's machine-readable
-	// counters for -json output (in addition to the tables ParseTables
-	// recovers from the rendered report).
-	Metrics func() (telemetry.Snapshot, error)
 }
 
 // registry in id order.
@@ -39,12 +33,6 @@ var registry []Experiment
 
 func register(id, title string, run func() (string, error)) {
 	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
-}
-
-// registerWithMetrics registers an experiment that also exports a
-// telemetry snapshot alongside its rendered report.
-func registerWithMetrics(id, title string, run func() (string, error), metrics func() (telemetry.Snapshot, error)) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run, Metrics: metrics})
 }
 
 // All returns every experiment in id order.

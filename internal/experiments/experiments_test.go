@@ -4,19 +4,23 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 func TestRegistryComplete(t *testing.T) {
+	// E22 was folded into E26; its id stays retired.
+	var want []int
+	for id := 1; id <= 30; id++ {
+		if id != 22 {
+			want = append(want, id)
+		}
+	}
 	all := All()
-	if len(all) != 30 {
-		t.Fatalf("registered %d experiments, want 30 (E1..E30)", len(all))
+	if len(all) != len(want) {
+		t.Fatalf("registered %d experiments, want %d (E1..E30 without E22)", len(all), len(want))
 	}
 	for i, e := range all {
-		want := i + 1
-		if idOrder(e.ID) != want {
-			t.Errorf("position %d holds %s", i, e.ID)
+		if idOrder(e.ID) != want[i] {
+			t.Errorf("position %d holds %s, want E%d", i, e.ID, want[i])
 		}
 		if e.Title == "" || e.Run == nil {
 			t.Errorf("%s: incomplete registration", e.ID)
@@ -317,42 +321,48 @@ func TestE21SoftwareSwitch(t *testing.T) {
 	}
 }
 
-func TestE22TelemetryLayers(t *testing.T) {
-	out := runOne(t, "E22", "noc.msgs", "domain-swap", "cache.l1.accesses", "disabled", "full-trace")
-	if !strings.Contains(out, "ns/cycle") {
-		t.Errorf("overhead table missing:\n%s", out)
+func TestE26TelemetryLayers(t *testing.T) {
+	out := runOne(t, "E26", "Metric namespace", "Cycle-stamped event trace", "Latency distributions",
+		"Causal spans", "Simulator wall-clock cost", "node.7.cache.l1.accesses", "noc.msgs",
+		"domain-swap", "span-begin", "<5% over baseline", "<=2% over baseline")
+	// One overhead table: every workload under every mode, E22's tracer
+	// modes and E26's introspection modes against one baseline.
+	rows := map[string]bool{}
+	for _, l := range strings.Split(out, "\n") {
+		if f := strings.Fields(l); len(f) == 4 && strings.HasSuffix(f[3], "x") {
+			rows[f[0]+" "+f[1]] = true
+		}
 	}
-	// The rendered report must parse back into at least three tables
-	// (metrics, event kinds, overhead) — this is what -json ships.
-	tables := stats.ParseTables(out)
-	if len(tables) < 3 {
-		t.Fatalf("parsed %d tables from E22 report:\n%s", len(tables), out)
+	for _, wl := range []string{"fib", "sweep"} {
+		for _, mode := range []string{"baseline", "disabled", "events", "full-trace", "histograms", "flight", "hist+flight"} {
+			if !rows[wl+" "+mode] {
+				t.Errorf("overhead table has no %s/%s row:\n%s", wl, mode, out)
+			}
+		}
 	}
-}
-
-func TestE22Metrics(t *testing.T) {
-	e, ok := Lookup("E22")
-	if !ok || e.Metrics == nil {
-		t.Fatal("E22 must register a Metrics func")
-	}
-	snap, err := e.Metrics()
+	// The namespace and event rows come from the same run as the
+	// histograms and spans: every layer's counters are live in it.
+	run, err := e26Instrumented()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One live counter from every subsystem layer, plus the overhead
-	// figures the benchmark JSON records.
-	for _, name := range []string{"machine.instructions", "cache.l1.accesses", "vm.translations", "noc.msgs"} {
-		if snap.Get(name) <= 0 {
-			t.Errorf("metric %s = %v, want > 0", name, snap.Get(name))
+	for _, name := range []string{"node.0.machine.instructions", "node.0.vm.translations",
+		"node.7.cache.l1.accesses", "multi.remote_reads", "noc.msgs"} {
+		if run.snap.Get(name) <= 0 {
+			t.Errorf("metric %s = %v, want > 0", name, run.snap.Get(name))
 		}
 	}
-	for _, name := range []string{
-		"telemetry.hotloop.ns_per_cycle.detached",
-		"telemetry.hotloop.slowdown.disabled",
-		"telemetry.hotloop.slowdown.full-trace",
-	} {
-		if snap.Get(name) <= 0 {
-			t.Errorf("overhead figure %s missing", name)
+	for _, kind := range []string{"instr", "domain-swap", "noc-msg", "span-begin", "span-end"} {
+		if run.kinds[kind] == 0 {
+			t.Errorf("no %s events in the trace: %v", kind, run.kinds)
+		}
+	}
+	if run.spans["completed"] != 2400 {
+		t.Errorf("completed spans = %d, want 2400 (800 remote ops, 3 spans each)", run.spans["completed"])
+	}
+	for name, h := range run.hists {
+		if q := h.Quantile(0.99); q > h.Max() {
+			t.Errorf("%s: p99 %d above max %d", name, q, h.Max())
 		}
 	}
 }
@@ -361,7 +371,8 @@ func TestE23AuditZeroEscapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-injection campaign in -short mode")
 	}
-	out := runOne(t, "E23", "mem-bit", "reg-bit", "ptr-field", "tlb-entry",
+	out := runOne(t, "E23", "Fault-injection audit (seed 1,", "Outcome mechanisms",
+		"mem-bit", "reg-bit", "ptr-field", "tlb-entry",
 		"noc-drop", "node-kill", "escaped", "checkpoint recovery")
 	// The totals row carries the audit contract: zero escapes. runE23
 	// itself errors on any escape, so reaching here means the campaign
@@ -369,31 +380,8 @@ func TestE23AuditZeroEscapes(t *testing.T) {
 	if !strings.Contains(out, "fingerprint-match=true") {
 		t.Errorf("recovery line missing or diverged:\n%s", out)
 	}
-	if len(stats.ParseTables(out)) < 2 {
-		t.Errorf("expected audit + mechanism tables:\n%s", out)
-	}
-}
-
-func TestE23Metrics(t *testing.T) {
-	if testing.Short() {
-		t.Skip("10k-injection campaign in -short mode")
-	}
-	e, ok := Lookup("E23")
-	if !ok || e.Metrics == nil {
-		t.Fatal("E23 must register a Metrics func")
-	}
-	snap, err := e.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Get("faultinject.trials") < 10000 {
-		t.Errorf("faultinject.trials = %v, want >= 10000", snap.Get("faultinject.trials"))
-	}
-	if snap.Get("faultinject.escaped") != 0 {
-		t.Errorf("faultinject.escaped = %v, want 0", snap.Get("faultinject.escaped"))
-	}
-	if snap.Get("faultinject.recovery.match") != 1 {
-		t.Errorf("faultinject.recovery.match = %v, want 1", snap.Get("faultinject.recovery.match"))
+	if res, _ := e23Result(); res.Trials < 10000 {
+		t.Errorf("audit ran %d injections, want >= 10000", res.Trials)
 	}
 }
 
@@ -413,7 +401,7 @@ func TestRunAllSucceeds(t *testing.T) {
 }
 
 func TestE27CompiledTierCensus(t *testing.T) {
-	out := runOne(t, "E27", "fib.s", "elided", "wl:sweep-sum", "bit-identical")
+	out := runOne(t, "E27", "Compiled-tier census", "fib.s", "elided", "wl:sweep-sum", "bit-identical")
 	// runE27 itself gates on bit-exact interp/jit agreement and on the
 	// translator actually engaging; here we pin the corpus and require
 	// the hot programs to show compiled blocks with elided checks.
@@ -422,9 +410,6 @@ func TestE27CompiledTierCensus(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Errorf("E27 report missing program %q", name)
 		}
-	}
-	if len(stats.ParseTables(out)) < 1 {
-		t.Fatalf("E27 report has no parseable table:\n%s", out)
 	}
 }
 
@@ -442,72 +427,32 @@ func TestE25StaticDischarge(t *testing.T) {
 }
 
 func TestE28PersistentCheckpoints(t *testing.T) {
-	out := runOne(t, "E28", "Delta-chain differential", "persist-torn", "persist-missing",
-		"Capture cost", "match")
+	out := runOne(t, "E28", "Delta-chain differential", "Fault-tolerance audit",
+		"Tolerance-stack repair work", "Outcome mechanisms", "Capture cost",
+		"persist-torn", "persist-missing", "match")
 	// runE28 itself gates on every-generation fingerprint identity, zero
 	// unrecovered/escaped persistence faults, and the >=5x byte win at
 	// 10% dirty; here we pin the report shape.
 	if strings.Contains(out, "DIVERGED") {
 		t.Fatalf("E28 reports a diverged generation:\n%s", out)
 	}
-	if len(stats.ParseTables(out)) < 3 {
-		t.Fatalf("E28 report missing tables:\n%s", out)
+	res, err := e28Compute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.campaign.PersistFallbacks == 0 {
+		t.Error("no damaged store recovered by falling back to an older generation")
 	}
 }
 
 func TestE29LiveMigration(t *testing.T) {
-	out := runOne(t, "E29", "Live-migration differential", "abort@cutover", "Dirty-rate sweep",
-		"migrate-src-kill", "stop-the-world")
+	out := runOne(t, "E29", "Live-migration differential", "Committed pre-copy shape",
+		"Dirty-rate sweep", "Fault-tolerance audit", "Tolerance-stack repair work",
+		"Outcome mechanisms", "abort@cutover", "migrate-src-kill", "stop-the-world")
 	// runE29 itself gates on outcome identity for the commit, exact
 	// bit-identity for every abort, the >=5x STW win at <=10% dirty,
 	// and a zero-unrecovered fault campaign; here we pin report shape.
 	if strings.Contains(out, "DIVERGED") {
 		t.Fatalf("E29 reports a diverged scenario:\n%s", out)
-	}
-	if len(stats.ParseTables(out)) < 4 {
-		t.Fatalf("E29 report missing tables:\n%s", out)
-	}
-}
-
-func TestE29Metrics(t *testing.T) {
-	e, ok := Lookup("E29")
-	if !ok || e.Metrics == nil {
-		t.Fatal("E29 has no metrics hook")
-	}
-	snap, err := e.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap["e29.diff.match"] != 1 {
-		t.Errorf("e29.diff.match = %v, want 1", snap["e29.diff.match"])
-	}
-	if snap["e29.probe.rounds"] < 2 {
-		t.Errorf("e29.probe.rounds = %v, want iterative pre-copy", snap["e29.probe.rounds"])
-	}
-	if snap["faultinject.migrate.retransmits"] == 0 {
-		t.Error("campaign retransmit metric missing or zero")
-	}
-	if snap["e29.sweep.ratio_x10.10pct"] < 50 {
-		t.Errorf("10%% dirty STW ratio %v < 5x", snap["e29.sweep.ratio_x10.10pct"])
-	}
-}
-
-func TestE28Metrics(t *testing.T) {
-	e, ok := Lookup("E28")
-	if !ok || e.Metrics == nil {
-		t.Fatal("E28 has no metrics hook")
-	}
-	snap, err := e.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap["e28.chain.match"] != 1 {
-		t.Errorf("e28.chain.match = %v, want 1", snap["e28.chain.match"])
-	}
-	if snap["faultinject.persist.fallbacks"] == 0 {
-		t.Error("campaign fallback metric missing or zero")
-	}
-	if snap["e28.cost.ratio_x10.10pct"] < 50 {
-		t.Errorf("10%% dirty byte ratio %v < 5x", snap["e28.cost.ratio_x10.10pct"])
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // deterministicSubset picks experiments whose reports depend only on
-// simulated state — E22 is excluded because it prints host wall-clock
+// simulated state — E26 is excluded because it prints host wall-clock
 // timings. The subset keeps the test fast while still covering real
 // simulator runs on every worker.
 func deterministicSubset(t *testing.T) []Experiment {

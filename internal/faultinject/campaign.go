@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // CampaignConfig sizes a campaign. Every trial's seed is derived from
@@ -452,59 +451,4 @@ func (r *Result) migrateTrials() int {
 		}
 	}
 	return n
-}
-
-// RegisterMetrics exposes the campaign on a telemetry registry under
-// the faultinject.* namespace.
-func (r *Result) RegisterMetrics(reg *telemetry.Registry) {
-	add := func(name string, v int) {
-		n := uint64(v)
-		reg.Counter("faultinject."+name, func() uint64 { return n })
-	}
-	add("trials", r.Trials)
-	add("detected", r.Detected)
-	add("masked", r.Masked)
-	add("escaped", r.Escaped)
-	if r.Tolerant {
-		add("tolerated", r.Tolerated)
-		add64 := func(name string, v uint64) {
-			reg.Counter("faultinject."+name, func() uint64 { return v })
-		}
-		add64("recovery.checkpoints", r.Checkpoints)
-		add64("recovery.restores", r.Restores)
-		add64("mem.ecc.corrected", r.EccFixed)
-		add64("noc.transport.retransmits", r.Retransmits)
-		add64("noc.transport.dup_suppressed", r.DupSupp)
-		if r.persistTrials() > 0 {
-			add64("persist.corrupt_detected", r.PersistCorrupt)
-			add64("persist.fallbacks", r.PersistFallbacks)
-		}
-		if r.migrateTrials() > 0 {
-			add64("migrate.retransmits", r.MigrateRetransmits)
-			add64("migrate.dup_suppressed", r.MigrateDupSupp)
-			add64("migrate.aborts", r.MigrateAborts)
-		}
-	}
-	for _, cs := range r.Classes {
-		if cs.Trials == 0 {
-			continue
-		}
-		slug := strings.ReplaceAll(cs.Class.String(), "-", "_")
-		add(slug+".trials", cs.Trials)
-		add(slug+".detected", cs.Detected)
-		add(slug+".masked", cs.Masked)
-		add(slug+".escaped", cs.Escaped)
-	}
-	if r.Recovery != nil {
-		match := 0
-		if r.Recovery.Match {
-			match = 1
-		}
-		add("recovery.match", match)
-		wd := 0
-		if r.Recovery.WatchdogTripped {
-			wd = 1
-		}
-		add("recovery.watchdog", wd)
-	}
 }

@@ -340,18 +340,36 @@ sweep:
 	br   sweep
 `
 
+// runSweep walks a 2 KB window of the r1 segment with a store and a
+// load per word, forever: the cache and translation paths dominate.
+const runSweep = `
+	mov  r5, r1
+	ldi  r2, 256
+sweep:
+	st   r5, 0, r2
+	ld   r6, r5, 0
+	leai r5, r5, 8
+	subi r2, r2, 1
+	bnez r2, sweep
+	mov  r5, r1
+	ldi  r2, 256
+	br   sweep
+`
+
 // BenchmarkRun measures Run on the default 4×4 machine: one thread in
-// an ALU loop (fifteen empty slots, three empty clusters), and eight
-// threads in eight domains streaming past the cache, where most
-// cluster-cycles are idle. The -jit rows run the same programs under
-// the translator: the lone ALU thread runs whole compiled blocks per
-// Step, the eight streams step through theirs one instruction per
-// cycle. One op is Run(4096); sim-instr/s is the comparable figure.
-// Run must not allocate.
+// an ALU loop or a load/store sweep (fifteen empty slots, three empty
+// clusters), and eight threads in eight domains streaming past the
+// cache, where most cluster-cycles are idle. The -jit rows run the same
+// programs under the translator: a lone thread runs whole compiled
+// blocks per Step, the eight streams step through theirs one
+// instruction per cycle. One op is Run(4096); sim-instr/s is the
+// comparable figure. Run must not allocate.
 func BenchmarkRun(b *testing.B) {
 	b.Run("alu-1thread", func(b *testing.B) { benchRun(b, runALU, 1, false) })
+	b.Run("sweep-1thread", func(b *testing.B) { benchRun(b, runSweep, 1, false) })
 	b.Run("stream-8domains", func(b *testing.B) { benchRun(b, runStream, 8, false) })
 	b.Run("alu-1thread-jit", func(b *testing.B) { benchRun(b, runALU, 1, true) })
+	b.Run("sweep-1thread-jit", func(b *testing.B) { benchRun(b, runSweep, 1, true) })
 	b.Run("stream-8domains-jit", func(b *testing.B) { benchRun(b, runStream, 8, true) })
 }
 

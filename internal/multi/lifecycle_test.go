@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/machine"
 )
 
@@ -178,5 +179,38 @@ func TestCheckpointNowSeedsRing(t *testing.T) {
 	}
 	if err := s.CheckpointNow(); !errors.Is(err, ErrNodeDead) {
 		t.Fatalf("CheckpointNow with dead node: %v, want ErrNodeDead", err)
+	}
+}
+
+// A generation with one image that fails to restore is refused whole:
+// recoverAll rebuilds every kernel before installing any, so no node is
+// rewound to a cut the others never return to.
+func TestRecoverAllIsAllOrNothing(t *testing.T) {
+	s, _, _ := watchdogSystem(t, 2000)
+	if err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(50)
+	before := []*kernel.Kernel{s.Nodes[0].K, s.Nodes[1].K}
+	cycles := s.Nodes[0].K.M.Cycle()
+	// Node 1's image now names a frame past the end of its memory.
+	bad := *s.ckpts[len(s.ckpts)-1].cps[1]
+	bad.Resident = append([]kernel.PageImage(nil), bad.Resident...)
+	bad.Resident[0].Frame = s.cfg.Node.PhysBytes
+	s.ckpts[len(s.ckpts)-1].cps[1] = &bad
+
+	if s.recoverAll() {
+		t.Fatal("recoverAll succeeded with an unrestorable image")
+	}
+	if s.Restores() != 0 {
+		t.Errorf("Restores = %d, want 0", s.Restores())
+	}
+	for i, k := range before {
+		if s.Nodes[i].K != k {
+			t.Errorf("node %d was swapped to a checkpointed kernel", i)
+		}
+	}
+	if got := s.Nodes[0].K.M.Cycle(); got != cycles {
+		t.Errorf("node 0 at cycle %d after the failed recovery, want %d", got, cycles)
 	}
 }

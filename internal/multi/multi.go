@@ -532,11 +532,18 @@ func (s *System) recoverAll() bool {
 		}
 		cps = s.ckpts[len(s.ckpts)-1].cps
 	}
+	// Rebuild every kernel before installing any: a node whose image
+	// fails to restore must not leave the others rewound to a cut the
+	// mesh never resumes from.
+	ks := make([]*kernel.Kernel, len(s.Nodes))
 	for i := range s.Nodes {
 		k, err := kernel.Restore(s.cfg.Node, cps[i])
 		if err != nil {
 			return false
 		}
+		ks[i] = k
+	}
+	for i, k := range ks {
 		s.installKernel(i, k)
 		if s.OnRestore != nil {
 			s.OnRestore(i, k)

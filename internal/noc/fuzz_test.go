@@ -7,8 +7,8 @@ import (
 
 // FuzzTransport: the transport codec must never panic on arbitrary
 // frame words; rejects are typed *HeaderError; accepted frames
-// round-trip bit-exactly through Decode→Encode; and the sequence-window
-// arithmetic stays consistent across the 16-bit wrap.
+// round-trip bit-exactly through Decode→Encode; and the receiver accepts
+// each in-order sequence number exactly once, across the 16-bit wrap.
 func FuzzTransport(f *testing.F) {
 	// In-range frames of each kind, including wrap-edge sequence
 	// numbers and both flags.
@@ -30,7 +30,9 @@ func FuzzTransport(f *testing.F) {
 	f.Add(uint64(WriteAck+1), uint16(1), uint16(2), uint16(3))
 	f.Add(uint64(0xF)<<hdrFlagsShift, uint16(9), uint16(9), uint16(1))
 
-	f.Fuzz(func(t *testing.T, frame uint64, seq, base, size uint16) {
+	// Only base is read; the two unused arguments keep the signature
+	// the committed corpus was recorded with.
+	f.Fuzz(func(t *testing.T, frame uint64, _, base, _ uint16) {
 		h, err := DecodeHeader(frame)
 		if err != nil {
 			var he *HeaderError
@@ -53,31 +55,13 @@ func FuzzTransport(f *testing.F) {
 			}
 		}
 
-		// Window arithmetic: wrap-safe and self-consistent.
-		in := SeqInWindow(seq, base, size)
-		d := seqDelta(seq, base)
-		if in != (d >= 0 && d < int(size)) {
-			t.Fatalf("SeqInWindow(%d, %d, %d) = %v disagrees with delta %d", seq, base, size, in, d)
-		}
-		if size > 0 && !SeqInWindow(base, base, size) {
-			t.Fatalf("base %d not in its own window of size %d", base, size)
-		}
-		if SeqInWindow(seq, base, 0) {
-			t.Fatalf("empty window contains %d", seq)
-		}
-		// Shifting both endpoints preserves membership (only the delta
-		// matters), including across the 65535→0 wrap.
-		if SeqInWindow(seq+0x4321, base+0x4321, size) != in {
-			t.Fatalf("window membership not shift-invariant (%d, %d, %d)", seq, base, size)
-		}
-
 		// The receiver's dedup accept never panics and accepts each
 		// in-order sequence number exactly once.
 		cs := &chanState{recvNext: base}
-		if cs.accept(base, size) != true {
+		if cs.accept(base) != true {
 			t.Fatalf("in-order seq %d rejected", base)
 		}
-		if cs.accept(base, size) {
+		if cs.accept(base) {
 			t.Fatalf("duplicate seq %d accepted twice", base)
 		}
 		if cs.recvNext != base+1 || cs.ackSeq != base+1 {

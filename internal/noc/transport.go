@@ -72,9 +72,6 @@ type TransportConfig struct {
 	// drop/corrupt faults and suppresses duplicates instead of
 	// surfacing them.
 	Enabled bool
-	// WindowSize is the receive-window span (in sequence numbers) used
-	// by the duplicate-suppression arithmetic. 0 means 32.
-	WindowSize uint16
 	// RetransmitTimeout is the base retransmission timeout in cycles;
 	// attempt k waits RetransmitTimeout << k (exponential backoff).
 	// 0 means 64.
@@ -87,9 +84,6 @@ type TransportConfig struct {
 
 // transportDefaults fills zero fields with the documented defaults.
 func (c TransportConfig) withDefaults() TransportConfig {
-	if c.WindowSize == 0 {
-		c.WindowSize = 32
-	}
 	if c.RetransmitTimeout == 0 {
 		c.RetransmitTimeout = 64
 	}
@@ -162,20 +156,6 @@ func DecodeHeader(v uint64) (Header, error) {
 	return h, nil
 }
 
-// seqDelta returns the signed distance from b to a in 16-bit sequence
-// space: positive when a is logically after b, correct across the
-// 65535→0 wrap.
-func seqDelta(a, b uint16) int {
-	return int(int16(a - b))
-}
-
-// SeqInWindow reports whether seq lies in the half-open window
-// [base, base+size) of 16-bit sequence space, wrap-safe.
-func SeqInWindow(seq, base, size uint16) bool {
-	d := seqDelta(seq, base)
-	return d >= 0 && d < int(size)
-}
-
 // chanKey names a directed transport channel.
 type chanKey struct{ src, dst int }
 
@@ -190,18 +170,16 @@ type chanState struct {
 
 // accept runs the receiver's dedup check for an arriving frame: the
 // expected in-order sequence number is accepted and advances the
-// cumulative ack; anything still inside the recent receive window is a
-// duplicate and suppressed.
-func (c *chanState) accept(seq, window uint16) bool {
+// cumulative ack; anything else is a stale retransmission or a
+// duplicated copy and is suppressed. (A frame ahead of the expected
+// one is impossible in the synchronous model — frames are injected in
+// sequence order.)
+func (c *chanState) accept(seq uint16) bool {
 	if seq == c.recvNext {
 		c.recvNext++
 		c.ackSeq = c.recvNext
 		return true
 	}
-	// Behind the window edge: a stale retransmission or duplicated
-	// copy. (Ahead is impossible in the synchronous model — frames are
-	// injected in sequence order.)
-	_ = SeqInWindow(seq, c.recvNext-window, window)
 	return false
 }
 
@@ -297,8 +275,8 @@ func (n *Network) deliverReliable(k Kind, src, dst int, now uint64, extraFlags u
 			}
 		}
 		if !lost {
-			if cs.accept(hdr.Seq, tc.WindowSize) {
-				if fate.Duplicate && !cs.accept(hdr.Seq, tc.WindowSize) {
+			if cs.accept(hdr.Seq) {
+				if fate.Duplicate && !cs.accept(hdr.Seq) {
 					n.stats.DupSuppressed++
 				}
 				return arrive, true, nil

@@ -236,25 +236,3 @@ func TestHeaderEncodeRejects(t *testing.T) {
 		t.Fatalf("decode bad flags: %v", err)
 	}
 }
-
-func TestSeqWindowArithmetic(t *testing.T) {
-	cases := []struct {
-		seq, base, size uint16
-		in              bool
-	}{
-		{0, 0, 32, true},
-		{31, 0, 32, true},
-		{32, 0, 32, false},
-		{65535, 0, 32, false},     // just behind the window
-		{0, 65520, 32, true},      // wraps across 65535→0
-		{15, 65520, 32, true},     // 65520+31 wraps to 15
-		{16, 65520, 32, false},    // one past the wrapped edge
-		{65519, 65520, 32, false}, // behind base
-		{0x8000, 0, 32, false},    // far future reads as negative delta
-	}
-	for _, c := range cases {
-		if got := SeqInWindow(c.seq, c.base, c.size); got != c.in {
-			t.Fatalf("SeqInWindow(%d, %d, %d) = %v, want %v", c.seq, c.base, c.size, got, c.in)
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -109,5 +110,23 @@ func TestRatio(t *testing.T) {
 	}
 	if Ratio(1, 0) != "inf" {
 		t.Error("Ratio by zero")
+	}
+}
+
+func TestSummarizeEdgeCases(t *testing.T) {
+	if s := Summarize([]float64{}); s != (Summary{}) {
+		t.Errorf("empty input: %+v", s)
+	}
+	s := Summarize([]float64{7})
+	if s.Count != 1 || s.Min != 7 || s.Max != 7 || s.Mean != 7 || s.P50 != 7 || s.P99 != 7 {
+		t.Errorf("single sample: %+v", s)
+	}
+	// Non-finite samples are dropped, not propagated.
+	s = Summarize([]float64{math.NaN(), 2, math.Inf(1), 4, math.Inf(-1)})
+	if s.Count != 2 || s.Min != 2 || s.Max != 4 || s.Mean != 3 {
+		t.Errorf("non-finite filtering: %+v", s)
+	}
+	if s := Summarize([]float64{math.NaN(), math.Inf(1)}); s != (Summary{}) {
+		t.Errorf("all non-finite should summarize as empty: %+v", s)
 	}
 }

@@ -92,9 +92,10 @@ func (h *Histogram) Bucket(b int) uint64 {
 
 // Quantile returns an upper bound for the q-quantile (0 < q ≤ 1): the
 // upper edge of the first bucket at which the cumulative count reaches
-// q·Count. Returns 0 when the histogram is empty. The bound is exact
-// to within the bucket's factor-of-two width, which is the resolution
-// the log2 layout buys.
+// q·Count, clamped to Max so it never exceeds an observed value.
+// Returns 0 when the histogram is empty. The bound is exact to within
+// the bucket's factor-of-two width, which is the resolution the log2
+// layout buys.
 func (h *Histogram) Quantile(q float64) uint64 {
 	total := h.count.Load()
 	if total == 0 {
@@ -115,7 +116,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	for b := 0; b < HistBuckets; b++ {
 		cum += h.buckets[b].Load()
 		if cum >= rank {
-			return BucketUpper(b)
+			return min(BucketUpper(b), h.max.Load())
 		}
 	}
 	return h.max.Load()

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -60,11 +62,48 @@ func TestHistogramQuantiles(t *testing.T) {
 	if q := h.Quantile(0.50); q != 15 {
 		t.Errorf("p50 = %d, want 15", q)
 	}
-	if q := h.Quantile(0.95); q != 1023 {
-		t.Errorf("p95 = %d, want 1023", q)
+	// The slow bucket's upper edge is 1023, but nothing above 1000 was
+	// observed: the bound is clamped to Max.
+	if q := h.Quantile(0.95); q != 1000 {
+		t.Errorf("p95 = %d, want 1000", q)
 	}
-	if q := h.Quantile(0.99); q != 1023 {
-		t.Errorf("p99 = %d, want 1023", q)
+	if q := h.Quantile(0.99); q != 1000 {
+		t.Errorf("p99 = %d, want 1000", q)
+	}
+}
+
+// TestHistogramQuantileNeverExceedsMax: a quantile is the upper edge of
+// a bucket, clamped to the largest observed value, so it lies between
+// the exact quantile and Max. Round trips of 8–27 cycles, as E26's
+// remote loads see, fill [8,15] and [16,31]; the median is in [16,31]
+// and must read 27, not the edge 31.
+func TestHistogramQuantileNeverExceedsMax(t *testing.T) {
+	h := NewHistogram()
+	for i := 0; i < 800; i++ {
+		h.Observe(uint64(8 + i%20))
+	}
+	if q := h.Quantile(0.5); q != 27 {
+		t.Errorf("p50 = %d, want 27 (the max)", q)
+	}
+
+	h = NewHistogram()
+	var seen []uint64
+	x := uint64(1)
+	for n := 1; n <= 300; n++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		v := x >> (x % 64) // magnitudes from 0 up to 2^64-1
+		h.Observe(v)
+		seen = append(seen, v)
+		sorted := append([]uint64(nil), seen...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		for _, q := range []float64{0.01, 0.25, 0.5, 0.95, 0.99, 1} {
+			exact := sorted[int(math.Ceil(q*float64(n)))-1]
+			if got := h.Quantile(q); got > h.Max() || got < exact {
+				t.Fatalf("n=%d q=%v: Quantile %d outside [exact %d, max %d]", n, q, got, exact, h.Max())
+			}
+		}
 	}
 }
 

@@ -91,8 +91,10 @@ func TestRegisterHistogramDerivedGauges(t *testing.T) {
 	if got := s.Get("machine.hist.remote_rt.p50"); got != 63 {
 		t.Errorf("p50 = %v, want 63", got)
 	}
-	if got := s.Get("machine.hist.remote_rt.p99"); got != 127 {
-		t.Errorf("p99 = %v, want 127", got)
+	// p99 lands in the bucket [64,127], whose edge is clamped to the
+	// largest observation.
+	if got := s.Get("machine.hist.remote_rt.p99"); got != 100 {
+		t.Errorf("p99 = %v, want 100", got)
 	}
 	if hs := reg.Histograms(); hs["machine.hist.remote_rt"] != h {
 		t.Error("Histograms() does not return the registered histogram")

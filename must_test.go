@@ -1,11 +1,8 @@
 package repro
 
-import (
-	"repro/internal/asm"
-	"repro/internal/core"
-)
+import "repro/internal/asm"
 
-// Test-local stand-ins for the removed library panic helpers:
+// Test-local stand-in for the removed library panic helper:
 // production code must handle the errors; statically known test
 // fixtures may panic.
 
@@ -15,12 +12,4 @@ func mustAssemble(src string) *asm.Program {
 		panic(err)
 	}
 	return p
-}
-
-func mustMake(p core.Perm, logLen uint, addr uint64) core.Pointer {
-	ptr, err := core.Make(p, logLen, addr)
-	if err != nil {
-		panic(err)
-	}
-	return ptr
 }
