@@ -2,8 +2,10 @@
 # vet, the full test suite, one run of every benchmark, the benchmark
 # module's golden-digest tests, and a race-detector pass over every
 # package with concurrency: the telemetry layer's lock-free fast paths,
-# the experiment worker pool, and the fault-injection campaign pool.
-# The multicomputer steps its nodes on one goroutine, so it has no race
+# the experiment worker pool, and the fault-injection campaign pool,
+# whose trials share each workload's assembled program (every trial
+# class runs in one of the four campaign determinism tests). The
+# multicomputer steps its nodes on one goroutine, so it has no race
 # pass.
 
 GO ?= go
@@ -61,7 +63,7 @@ bench-test:
 race:
 	$(GO) test -race ./internal/telemetry/
 	$(GO) test -race -run 'TestParallelRender' ./internal/experiments/
-	$(GO) test -race -run 'TestCampaignDeterministic|TestTolerantCampaignDeterministic' ./internal/faultinject/
+	$(GO) test -race -run 'TestCampaignDeterministic|TestTolerantCampaignDeterministic|TestMigrateCampaignDeterministic|TestPersistCampaignDeterministic' ./internal/faultinject/
 	$(GO) test -race -run 'TestJITDifferentialCorpus' .
 
 # Compiled-tier differential gate (docs/PERFORMANCE.md): the E27

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/faultinject"
@@ -42,11 +41,8 @@ func runE23() (string, error) {
 		return "", err
 	}
 	out := res.Table()
-	if res.Escaped != 0 {
-		return out, fmt.Errorf("fault-injection audit: %d escapes (want 0)", res.Escaped)
-	}
-	if res.Recovery != nil && !res.Recovery.Match {
-		return out, fmt.Errorf("checkpoint recovery diverged: %s", res.Recovery)
+	if err := res.Gate(); err != nil {
+		return out, err
 	}
 	out += "\nevery injection was either explicitly detected (tag/parity machine check, link CRC,\n" +
 		"cycle-deadline watchdog, end-of-run scrub) or provably masked (fingerprint equal to the\n" +

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/faultinject"
-)
+import "repro/internal/faultinject"
 
 func init() {
 	register("E24",
@@ -23,14 +19,8 @@ func runE24() (string, error) {
 		return "", err
 	}
 	out := res.Table()
-	if res.Escaped != 0 {
-		return out, fmt.Errorf("fault-tolerance audit: %d escapes (want 0)", res.Escaped)
-	}
-	if res.Detected != 0 {
-		return out, fmt.Errorf("fault-tolerance audit: %d unrecovered faults (want 0)", res.Detected)
-	}
-	if res.Recovery == nil || !res.Recovery.Match {
-		return out, fmt.Errorf("auto-recovery diverged: %s", res.Recovery)
+	if err := res.Gate(); err != nil {
+		return out, err
 	}
 	out += "\nevery injection was either actively repaired (ECC correction, transport retransmission,\n" +
 		"duplicate suppression, checkpoint rollback) or provably masked; the watchdog restored a\n" +

@@ -313,11 +313,8 @@ func runE28() (string, error) {
 	if !res.allMatch {
 		return out, fmt.Errorf("e28: a restored generation diverged from the clean run")
 	}
-	if res.campaign.Detected != 0 {
-		return out, fmt.Errorf("e28: %d unrecovered persistence faults (want 0)", res.campaign.Detected)
-	}
-	if res.campaign.Escaped != 0 {
-		return out, fmt.Errorf("e28: %d escaped persistence faults (want 0)", res.campaign.Escaped)
+	if err := res.campaign.Gate(); err != nil {
+		return out, fmt.Errorf("e28: %w", err)
 	}
 	for _, r := range res.cost {
 		if r.pct == 10 && r.ratio < 5 {

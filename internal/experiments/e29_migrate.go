@@ -363,11 +363,8 @@ func runE29() (string, error) {
 			return out, fmt.Errorf("e29: STW at %d%% dirty only %.1fx below the full-image transfer (want ≥ 5x)", r.pct, r.ratio)
 		}
 	}
-	if res.campaign.Detected != 0 {
-		return out, fmt.Errorf("e29: %d unrecovered migration faults (want 0)", res.campaign.Detected)
-	}
-	if res.campaign.Escaped != 0 {
-		return out, fmt.Errorf("e29: %d escaped migration faults (want 0)", res.campaign.Escaped)
+	if err := res.campaign.Gate(); err != nil {
+		return out, fmt.Errorf("e29: %w", err)
 	}
 	if res.campaign.MigrateRetransmits == 0 {
 		return out, fmt.Errorf("e29: no lossy-wire trial recovered by retransmission")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -385,6 +386,34 @@ func TestE23AuditZeroEscapes(t *testing.T) {
 	}
 }
 
+// experimentsGoldenPath pins every table `go run ./cmd/experiments`
+// prints: RunAll renders the same text as the CLI. Edit the file only
+// together with a deliberate table change, and list the changed rows
+// in CHANGES.md.
+const experimentsGoldenPath = "testdata/experiments.golden"
+
+// normalizeWallClock cuts E26's wall-clock overhead table down to its
+// workload and configuration columns. Its ns/cycle and ratio columns
+// are host timings that change on every run, and the column widths
+// change with them; every other line is a pure function of the code.
+func normalizeWallClock(out string) string {
+	lines := strings.Split(out, "\n")
+	in := false
+	for i, l := range lines {
+		switch {
+		case strings.HasPrefix(l, "Simulator wall-clock cost of telemetry"):
+			in = true
+		case l == "":
+			in = false
+		case in:
+			if f := strings.Fields(l); len(f) >= 2 {
+				lines[i] = f[0] + " " + f[1]
+			}
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
 func TestRunAllSucceeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness run in -short mode")
@@ -393,9 +422,21 @@ func TestRunAllSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 13; i++ {
-		if !strings.Contains(out, "=== E") {
-			t.Fatal("no experiment headers")
+	want, err := os.ReadFile(experimentsGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(normalizeWallClock(out), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s line %d differs:\n got: %q\nwant: %q", experimentsGoldenPath, i+1, g, w)
 		}
 	}
 }

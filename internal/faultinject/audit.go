@@ -22,11 +22,11 @@ type trialResult struct {
 	outcome Outcome
 	detail  string // fine-grained mechanism tag for the breakdown table
 	// flight is the trial's flight-recorder dump (JSONL), attached only
-	// when the outcome is Escaped or an unrecovered detection — the
-	// evidence trail for exactly the trials the audit cannot explain.
+	// when the stack cannot explain the outcome (stack.unexplained) —
+	// the evidence trail for exactly the trials that need one.
 	flight string
 
-	// Tolerance-stack accounting, all zero in baseline campaigns:
+	// Tolerance-stack accounting, all zero under the bare stack:
 	// repair work the stack performed during the trial.
 	restores    uint64 // checkpoint rollbacks
 	checkpoints uint64 // verified checkpoints captured
@@ -73,35 +73,107 @@ func classifyFault(err error) trialResult {
 	return trialResult{outcome: Escaped, detail: "unexpected-fault"}
 }
 
-// runLocalTrial executes one single-node injection: boot the workload,
-// run to a seed-chosen cycle, inject one fault of the given class, run
-// to completion, classify. Panics anywhere in the trial classify as
-// escaped — a fault must never crash the simulator.
-func runLocalTrial(w *workload, class Class, seed uint64) (res trialResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = trialResult{outcome: Escaped, detail: "panic"}
-		}
-	}()
+// severity ranks outcomes from best to worst.
+var severity = [...]int{Tolerated: 0, Masked: 1, Detected: 2, Escaped: 3}
+
+// worsen returns r with v's outcome and detail when v is the worse
+// verdict: a stricter check may demote a classified trial, never
+// promote it.
+func (r trialResult) worsen(v trialResult) trialResult {
+	if severity[v.outcome] > severity[r.outcome] {
+		r.outcome, r.detail = v.outcome, v.detail
+	}
+	return r
+}
+
+// stack is the protection a trial runs under. bare is E23's
+// detection-only stack: parity, the link CRC and the watchdog.
+// tolerant is E24's self-healing stack: ECC with the background
+// scrubber, the reliable transport, checkpoint rollback and watchdog
+// auto-recovery. Every fault class has one trial body that takes the
+// stack; only the local trials keep a back half per stack.
+type stack bool
+
+const (
+	bare     stack = false
+	tolerant stack = true
+)
+
+// budget is a mesh trial's cycle budget given the clean run's length:
+// under tolerant, room to replay the run after every restore the
+// stack may perform.
+func (st stack) budget(clean uint64) uint64 {
+	if st == tolerant {
+		return clean*(tolMaxRestores+2) + 8*meshWatchdog
+	}
+	return clean*3 + 4*meshWatchdog
+}
+
+// unexplained reports whether o is an outcome the audit cannot explain
+// away under st: an escape, or under tolerant a detection the stack
+// failed to repair. Those trials carry their flight-recorder dump.
+func (st stack) unexplained(o Outcome) bool {
+	return o == Escaped || (st == tolerant && o == Detected)
+}
+
+// local boots w for a single-node trial under st: the parity plane
+// under bare, the SECDED plane with the background scrubber under
+// tolerant.
+func (st stack) local(w *workload) (*kernel.Kernel, *Injector, []core.Pointer, error) {
+	cfg := campaignNode()
+	if st == tolerant {
+		cfg.ScrubEvery = tolScrubEvery
+		cfg.ScrubWords = tolScrubWords
+	}
+	k, inj, segs, err := bootLocal(w, cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if st == tolerant {
+		k.M.Space.Phys.EnableECC()
+	} else {
+		k.M.Space.Phys.EnableParity()
+	}
+	return k, inj, segs, nil
+}
+
+// runLocalTrial executes one single-node injection under st: boot the
+// workload, run to a seed-chosen cycle, inject one fault of the given
+// class, then run to completion and classify. The run-up and the back
+// half are the stack's own: bare runs straight through and classifies
+// by scrub; tolerant runs in checkpointed chunks and rolls back through
+// detected faults (tolDriver).
+func (st stack) runLocalTrial(w *workload, class Class, seed uint64) trialResult {
 	rng := NewRNG(seed)
-	k, inj, segs, err := buildLocal(w)
+	k, inj, segs, err := st.local(w)
 	if err != nil {
 		return trialResult{outcome: Escaped, detail: "build-error"}
 	}
-	defer func() {
-		if res.outcome == Escaped && res.flight == "" {
-			res.flight = k.M.Flight.DumpString("escaped: "+res.detail, 0)
-		}
-	}()
 	injectAt := 1 + rng.Uint64n(w.clean.cycles)
-	k.Run(injectAt)
-	detail := injectLocal(class, k, inj, segs, rng)
-	k.Run(w.budget)
+	var r trialResult
+	if st == tolerant {
+		d := &tolDriver{k: k, inj: inj}
+		d.maybeCheckpoint() // generation 0: the booted, unfaulted machine
+		d.run(injectAt)
+		r = d.finish(w, injectLocal(class, d.k, inj, segs, rng))
+		k = d.k
+	} else {
+		k.Run(injectAt)
+		r = finishLocal(w, k, inj, injectLocal(class, k, inj, segs, rng))
+	}
+	if st.unexplained(r.outcome) {
+		r.flight = k.M.Flight.DumpString(r.outcome.String()+": "+r.detail, 0)
+	}
+	return r
+}
 
-	for _, t := range k.M.Threads() {
-		if t.State == machine.Faulted {
-			return classifyFault(t.Fault)
-		}
+// finishLocal is the bare back half of a local trial: run to the end,
+// then classify the first fault or, on a clean finish, retire through
+// the scrubs.
+func finishLocal(w *workload, k *kernel.Kernel, inj *Injector, detail string) trialResult {
+	k.Run(w.budget)
+	if t := faultedThread(k.M.Threads()); t != nil {
+		return classifyFault(t.Fault)
 	}
 	if !k.M.Done() {
 		return trialResult{outcome: Escaped, detail: "hang"}
@@ -122,6 +194,16 @@ func runLocalTrial(w *workload, class Class, seed uint64) (res trialResult) {
 		return trialResult{outcome: Masked, detail: detail}
 	}
 	return trialResult{outcome: Escaped, detail: "silent-divergence"}
+}
+
+// faultedThread returns the first faulted thread, if any.
+func faultedThread(threads []*machine.Thread) *machine.Thread {
+	for _, t := range threads {
+		if t.State == machine.Faulted {
+			return t
+		}
+	}
+	return nil
 }
 
 // injectLocal performs the class's state mutation and returns a detail

@@ -39,10 +39,10 @@ type CampaignConfig struct {
 	MigrateTrials int
 	// Recovery additionally runs the checkpoint/kill/restore trial.
 	Recovery bool
-	// Tolerate runs every trial with the self-healing stack enabled
-	// (ECC scrubbing, reliable NoC transport, checkpoint rollback) and
-	// adds the Tolerated outcome; Recovery then uses the watchdog-driven
-	// AutoRecoveryTrial instead of the manual RecoveryTrial.
+	// Tolerate runs every trial under the tolerant stack instead of the
+	// bare one (ECC scrubbing, reliable NoC transport, checkpoint
+	// rollback) and adds the Tolerated outcome; Recovery then lets the
+	// watchdog restore the killed node instead of the harness.
 	Tolerate bool
 }
 
@@ -140,30 +140,65 @@ type Result struct {
 	MigrateDupSupp     uint64 // duplicate migration frames suppressed
 	MigrateAborts      uint64 // migrations aborted with the source intact
 
-	// Flights holds the flight-recorder dumps of the first
-	// MaxFlightCaptures trials whose outcome the audit could not explain
-	// (escaped, or an unrecovered detection under the tolerance stack) —
-	// the post-mortem evidence for exactly the rows that demand one.
+	// Flights names the first MaxFlightCaptures trials whose outcome
+	// the audit could not explain (escaped, or an unrecovered detection
+	// under the tolerant stack), each with its flight-recorder dump —
+	// the trials to replay, and the post-mortem evidence for exactly the
+	// rows that demand one.
 	Flights []FlightCapture
 }
 
-// MaxFlightCaptures bounds how many escaped-trial dumps a campaign
-// retains; escapes are supposed to be rare, and a pathological run must
+// MaxFlightCaptures bounds how many unexplained trials a campaign
+// retains; they are supposed to be rare, and a pathological run must
 // not hold ten thousand dumps in memory.
 const MaxFlightCaptures = 8
 
-// FlightCapture is one unexplained trial's flight-recorder dump.
+// FlightCapture is one unexplained trial: its replay coordinates and
+// its flight-recorder dump.
 type FlightCapture struct {
 	Class  Class
 	Seed   uint64
 	Detail string
-	Dump   string // JSONL: one {"flight":true,...}-headed section per recorder
+	// Dump is JSONL: one {"flight":true,...}-headed section per
+	// recorder. Persistence trials run no recorder and leave it empty.
+	Dump string
 }
 
 type trialSpec struct {
 	class Class
-	wl    *workload // nil for mesh/node classes
+	index int // within the class: local trials cycle through the workloads by it
 	seed  uint64
+}
+
+// campaign is what every trial of one campaign shares: the stack and
+// the clean reference runs, which trials only read.
+type campaign struct {
+	st      stack
+	wls     []*workload
+	mesh    *meshClean
+	persist *persistFixture
+	migrate *migrateClean
+}
+
+// run dispatches one trial to its class's body. A panic anywhere in a
+// trial classifies as escaped — a fault must never crash the simulator.
+func (c *campaign) run(sp trialSpec) (res trialResult) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = trialResult{outcome: Escaped, detail: "panic"}
+		}
+	}()
+	switch {
+	case sp.class >= MigrateFrameDrop:
+		return runMigrateTrial(c.migrate, sp.class, sp.seed)
+	case sp.class >= PersistTorn:
+		return runPersistTrial(c.persist, sp.class, sp.seed)
+	case sp.class >= NodeKill:
+		return c.st.runNodeTrial(sp.class, c.mesh, sp.seed)
+	case sp.class >= NoCDrop:
+		return c.st.runNoCTrial(sp.class, c.mesh, sp.seed)
+	}
+	return c.st.runLocalTrial(c.wls[sp.index%len(c.wls)], sp.class, sp.seed)
 }
 
 var localClasses = []Class{MemBit, RegBit, PtrField, TLBEntry}
@@ -179,67 +214,50 @@ var migrateClasses = []Class{
 // runs, fans the trial list across a worker pool, and aggregates the
 // outcomes in deterministic (class, index) order.
 func RunCampaign(cfg CampaignConfig) (*Result, error) {
-	wls := localWorkloads()
-	for _, w := range wls {
+	c := &campaign{st: stack(cfg.Tolerate), wls: localWorkloads()}
+	for _, w := range c.wls {
 		if err := w.prepare(); err != nil {
 			return nil, err
 		}
 	}
-	needMesh := cfg.MeshTrials > 0 || cfg.NodeTrials > 0
-	var mesh *meshClean
-	if needMesh {
-		var err error
-		if mesh, err = prepareMesh(); err != nil {
+	var err error
+	if cfg.MeshTrials > 0 || cfg.NodeTrials > 0 {
+		if c.mesh, err = prepareMesh(4); err != nil {
 			return nil, err
 		}
 	}
-	var fx *persistFixture
 	if cfg.PersistTrials > 0 {
 		fxDir, err := os.MkdirTemp("", "mmpersist-fixture-")
 		if err != nil {
 			return nil, err
 		}
 		defer os.RemoveAll(fxDir)
-		if fx, err = preparePersistFixture(fxDir); err != nil {
+		if c.persist, err = preparePersistFixture(fxDir, c.wls[0]); err != nil {
 			return nil, err
 		}
 	}
-	var mfx *migrateClean
 	if cfg.MigrateTrials > 0 {
-		var err error
-		if mfx, err = prepareMigrateFixture(); err != nil {
+		if c.migrate, err = prepareMigrateFixture(); err != nil {
 			return nil, err
 		}
 	}
 
 	var specs []trialSpec
-	for _, c := range localClasses {
-		for i := 0; i < cfg.LocalTrials; i++ {
-			specs = append(specs, trialSpec{
-				class: c,
-				wl:    wls[i%len(wls)],
-				seed:  mixSeed(cfg.Seed, uint64(c), uint64(i)),
-			})
-		}
-	}
-	for _, c := range nocClasses {
-		for i := 0; i < cfg.MeshTrials; i++ {
-			specs = append(specs, trialSpec{class: c, seed: mixSeed(cfg.Seed, uint64(c), uint64(i))})
-		}
-	}
-	for _, c := range nodeClasses {
-		for i := 0; i < cfg.NodeTrials; i++ {
-			specs = append(specs, trialSpec{class: c, seed: mixSeed(cfg.Seed, uint64(c), uint64(i))})
-		}
-	}
-	for _, c := range persistClasses {
-		for i := 0; i < cfg.PersistTrials; i++ {
-			specs = append(specs, trialSpec{class: c, seed: mixSeed(cfg.Seed, uint64(c), uint64(i))})
-		}
-	}
-	for _, c := range migrateClasses {
-		for i := 0; i < cfg.MigrateTrials; i++ {
-			specs = append(specs, trialSpec{class: c, seed: mixSeed(cfg.Seed, uint64(c), uint64(i))})
+	for _, g := range []struct {
+		classes []Class
+		trials  int
+	}{
+		{localClasses, cfg.LocalTrials},
+		{nocClasses, cfg.MeshTrials},
+		{nodeClasses, cfg.NodeTrials},
+		{persistClasses, cfg.PersistTrials},
+		{migrateClasses, cfg.MigrateTrials},
+	} {
+		for _, class := range g.classes {
+			for i := 0; i < g.trials; i++ {
+				seed := mixSeed(cfg.Seed, uint64(class), uint64(i))
+				specs = append(specs, trialSpec{class: class, index: i, seed: seed})
+			}
 		}
 	}
 
@@ -266,36 +284,16 @@ func RunCampaign(cfg CampaignConfig) (*Result, error) {
 				if i >= len(specs) {
 					return
 				}
-				sp := specs[i]
-				switch {
-				case sp.class >= MigrateFrameDrop:
-					results[i] = runMigrateTrial(mfx, sp.class, sp.seed)
-				case sp.class >= PersistTorn:
-					results[i] = runPersistTrial(fx, sp.class, sp.seed)
-				case sp.wl != nil && cfg.Tolerate:
-					results[i] = runLocalTolerantTrial(sp.wl, sp.class, sp.seed)
-				case sp.wl != nil:
-					results[i] = runLocalTrial(sp.wl, sp.class, sp.seed)
-				case sp.class == NodeKill || sp.class == NodeStall:
-					if cfg.Tolerate {
-						results[i] = runNodeTolerantTrial(sp.class, mesh, sp.seed)
-					} else {
-						results[i] = runNodeTrial(sp.class, mesh, sp.seed)
-					}
-				case cfg.Tolerate:
-					results[i] = runNoCTolerantTrial(sp.class, mesh, sp.seed)
-				default:
-					results[i] = runNoCTrial(sp.class, mesh, sp.seed)
-				}
+				results[i] = c.run(specs[i])
 			}
 		}()
 	}
 	wg.Wait()
 
 	res := &Result{Seed: cfg.Seed, Tolerant: cfg.Tolerate, Classes: make([]ClassStats, NumClasses)}
-	for c := range res.Classes {
-		res.Classes[c].Class = Class(c)
-		res.Classes[c].Details = make(map[string]int)
+	for cl := range res.Classes {
+		res.Classes[cl].Class = Class(cl)
+		res.Classes[cl].Details = make(map[string]int)
 	}
 	for i, sp := range specs {
 		cs := &res.Classes[sp.class]
@@ -316,7 +314,7 @@ func RunCampaign(cfg CampaignConfig) (*Result, error) {
 			res.Tolerated++
 		}
 		cs.Details[results[i].detail]++
-		if results[i].flight != "" && len(res.Flights) < MaxFlightCaptures {
+		if c.st.unexplained(results[i].outcome) && len(res.Flights) < MaxFlightCaptures {
 			res.Flights = append(res.Flights, FlightCapture{
 				Class: sp.class, Seed: sp.seed,
 				Detail: results[i].detail, Dump: results[i].flight,
@@ -334,19 +332,39 @@ func RunCampaign(cfg CampaignConfig) (*Result, error) {
 		res.MigrateAborts += results[i].migrateAborts
 	}
 	if cfg.Recovery {
-		var rec *RecoveryResult
-		var err error
+		trial := recoveryTrial
 		if cfg.Tolerate {
-			rec, err = AutoRecoveryTrial(cfg.Seed)
-		} else {
-			rec, err = RecoveryTrial(cfg.Seed)
+			trial = autoRecoveryTrial
 		}
-		if err != nil {
+		if res.Recovery, err = trial(cfg.Seed); err != nil {
 			return nil, err
 		}
-		res.Recovery = rec
 	}
 	return res, nil
+}
+
+// Gate is the campaign's pass condition: no trial escaped, no detection
+// went unrecovered under the tolerant stack, and the recovery exercise,
+// when it ran, reproduced the clean fingerprint. A failed gate names
+// the first trial to replay.
+func (r *Result) Gate() error {
+	unrecovered := 0
+	if r.Tolerant {
+		unrecovered = r.Detected
+	}
+	if r.Escaped > 0 || unrecovered > 0 {
+		replay := ""
+		if len(r.Flights) > 0 {
+			f := r.Flights[0]
+			replay = fmt.Sprintf("; replay %v trial seed %#x: %s", f.Class, f.Seed, f.Detail)
+		}
+		return fmt.Errorf("fault campaign (seed %d): %d escaped, %d unrecovered (want 0)%s",
+			r.Seed, r.Escaped, unrecovered, replay)
+	}
+	if r.Recovery != nil && !r.Recovery.Match {
+		return fmt.Errorf("fault campaign (seed %d): recovery diverged: %s", r.Seed, r.Recovery)
+	}
+	return nil
 }
 
 // Table renders the campaign as the audit table: one row per exercised
@@ -390,13 +408,13 @@ func (r *Result) Table() string {
 		// Persistence rows appear only when persistence classes ran, so
 		// campaigns without them (E24) render byte-identically to before
 		// the durability audit existed.
-		if r.persistTrials() > 0 {
+		if r.trials(persistClasses) > 0 {
 			rt.AddRow("persist corrupt generations detected", int(r.PersistCorrupt))
 			rt.AddRow("persist fallback restores", int(r.PersistFallbacks))
 		}
 		// Migration rows likewise appear only when migration classes
 		// ran, keeping earlier campaigns' tables byte-identical.
-		if r.migrateTrials() > 0 {
+		if r.trials(migrateClasses) > 0 {
 			rt.AddRow("migration frames retransmitted", int(r.MigrateRetransmits))
 			rt.AddRow("migration duplicates suppressed", int(r.MigrateDupSupp))
 			rt.AddRow("migration aborts rolled back", int(r.MigrateAborts))
@@ -431,21 +449,10 @@ func (r *Result) Table() string {
 	return b.String()
 }
 
-// persistTrials sums the persistence classes' trial counts.
-func (r *Result) persistTrials() int {
+// trials sums the given classes' trial counts.
+func (r *Result) trials(classes []Class) int {
 	n := 0
-	for _, c := range persistClasses {
-		if int(c) < len(r.Classes) {
-			n += r.Classes[c].Trials
-		}
-	}
-	return n
-}
-
-// migrateTrials sums the live-migration classes' trial counts.
-func (r *Result) migrateTrials() int {
-	n := 0
-	for _, c := range migrateClasses {
+	for _, c := range classes {
 		if int(c) < len(r.Classes) {
 			n += r.Classes[c].Trials
 		}

@@ -1,10 +1,11 @@
 // Package faultinject is a deterministic fault injector and
 // protection-audit harness for the guarded-pointer machine.
 //
-// A campaign (see audit.go) runs thousands of trials; each trial boots
-// a fresh system, runs a known-good workload to a pseudo-random cycle,
-// injects exactly one fault, runs to completion and classifies the
-// outcome:
+// A campaign (see campaign.go) runs thousands of trials under one
+// protection stack: bare, which only detects, or tolerant, which also
+// repairs (see stack). Each trial boots a fresh system, runs a
+// known-good workload to a pseudo-random cycle, injects exactly one
+// fault, runs to completion and classifies the outcome; under bare:
 //
 //   - Detected — the system raised an explicit corruption signal: a
 //     parity/CRC machine check, a guarded-pointer protection fault with
@@ -184,12 +185,12 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// Outcome is the audit's classification of one trial. The baseline
-// campaign uses the first three; tolerant campaigns (tolerance.go) add
-// Tolerated: the fault was detected AND repaired — ECC correction,
-// transport retransmission, checkpoint rollback — and the run finished
-// with the clean fingerprint. In a tolerant campaign a final Detected
-// means the stack saw the fault but could not recover it.
+// Outcome is the audit's classification of one trial. The bare stack
+// uses the first three; the tolerant stack adds Tolerated: the fault
+// was detected AND repaired — ECC correction, transport
+// retransmission, checkpoint rollback — and the run finished with the
+// clean fingerprint. Under the tolerant stack a final Detected means
+// the stack saw the fault but could not recover it.
 type Outcome int
 
 const (

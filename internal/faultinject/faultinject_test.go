@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -192,7 +193,7 @@ func TestCampaignDeterministic(t *testing.T) {
 
 func TestRecoveryTrialMatchesUninterruptedRun(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 1234} {
-		rec, err := RecoveryTrial(seed)
+		rec, err := recoveryTrial(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -215,5 +216,44 @@ func TestMessageFaulterHitsExactTarget(t *testing.T) {
 	}
 	if !mf.Fired() || mf.Messages() != 5 {
 		t.Fatalf("fired=%v messages=%d", mf.Fired(), mf.Messages())
+	}
+}
+
+// TestTrialPanicIsEscape: a panic in any trial class is an escape, not
+// a crash of the whole campaign. A persistence trial with no fixture
+// panics on its first read of it.
+func TestTrialPanicIsEscape(t *testing.T) {
+	r := (&campaign{}).run(trialSpec{class: PersistTorn, seed: 1})
+	if r.outcome != Escaped || r.detail != "panic" {
+		t.Fatalf("outcome = %v/%s, want escaped/panic", r.outcome, r.detail)
+	}
+}
+
+// TestGateNamesFirstUnexplainedTrial: the gate fails on an escape under
+// either stack and on a detection only under tolerant, and its error
+// names the trial to replay.
+func TestGateNamesFirstUnexplainedTrial(t *testing.T) {
+	replay := []FlightCapture{{Class: NoCDrop, Seed: 0xabc, Detail: "silent-divergence"}}
+	cases := []struct {
+		res  Result
+		fail bool
+	}{
+		{Result{Escaped: 1, Flights: replay}, true},
+		{Result{Escaped: 1}, true},
+		{Result{Detected: 5}, false},
+		{Result{Tolerant: true, Detected: 1, Flights: replay}, true},
+		{Result{Tolerant: true, Tolerated: 3}, false},
+		{Result{Recovery: &RecoveryResult{Match: false}}, true},
+		{Result{Recovery: &RecoveryResult{Match: true}}, false},
+	}
+	for i, c := range cases {
+		err := c.res.Gate()
+		if (err != nil) != c.fail {
+			t.Errorf("case %d: Gate() = %v, want failure %v", i, err, c.fail)
+			continue
+		}
+		if err != nil && c.res.Flights != nil && !strings.Contains(err.Error(), "noc-drop trial seed 0xabc: silent-divergence") {
+			t.Errorf("case %d: gate error does not name the trial to replay: %v", i, err)
+		}
 	}
 }

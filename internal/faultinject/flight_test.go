@@ -11,12 +11,16 @@ import (
 // classify (here: stopped mid-run, so neither done nor hung — a
 // timeout escape) must carry the system's flight-recorder dump.
 func TestEscapedMeshTrialCapturesFlight(t *testing.T) {
-	s, err := buildMesh(nil)
+	clean, err := prepareMesh(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := clean.boot(bare, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Run(50)
-	r := classifyMesh(s, &meshClean{}, "x")
+	r := bare.withFlight(s, bare.classify(s, clean.fp, repaired(s, "x")))
 	if r.outcome != Escaped || r.detail != "timeout" {
 		t.Fatalf("outcome = %v/%s, want escaped/timeout", r.outcome, r.detail)
 	}
@@ -35,13 +39,17 @@ func TestEscapedMeshTrialCapturesFlight(t *testing.T) {
 // TestMaskedMeshTrialCarriesNoFlight: explained outcomes must stay
 // lean — no dump attached to a clean (masked) finish.
 func TestMaskedMeshTrialCarriesNoFlight(t *testing.T) {
-	s, err := buildMesh(nil)
+	clean, err := prepareMesh(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := clean.boot(bare, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Run(1_000_000)
-	clean := &meshClean{fp: machine.FingerprintThreads(meshThreads(s))}
-	r := classifyMesh(s, clean, "clean")
+	fp := machine.FingerprintThreads(meshThreads(s))
+	r := bare.withFlight(s, bare.classify(s, fp, repaired(s, "clean")))
 	if r.outcome != Masked {
 		t.Fatalf("outcome = %v/%s, want masked", r.outcome, r.detail)
 	}
@@ -54,7 +62,11 @@ func TestMaskedMeshTrialCarriesNoFlight(t *testing.T) {
 // classifier, a hang the stack failed to repair (unrecovered-hang) is
 // exactly the outcome that must ship its evidence.
 func TestUnrecoveredTolerantTrialCapturesFlight(t *testing.T) {
-	s, err := buildMesh(nil) // watchdog armed, no checkpoints → no repair
+	clean, err := prepareMesh(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := clean.boot(bare, nil) // watchdog armed, no checkpoints → no repair
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +78,7 @@ func TestUnrecoveredTolerantTrialCapturesFlight(t *testing.T) {
 	if !s.Hung() {
 		t.Fatal("expected the watchdog to trip")
 	}
-	r := classifyMeshTolerant(s, &meshClean{}, "x")
+	r := tolerant.withFlight(s, tolerant.classify(s, clean.fp, repaired(s, "x")))
 	if r.outcome != Detected || r.detail != "unrecovered-hang" {
 		t.Fatalf("outcome = %v/%s, want detected/unrecovered-hang", r.outcome, r.detail)
 	}

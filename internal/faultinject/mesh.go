@@ -11,14 +11,25 @@ import (
 	"repro/internal/word"
 )
 
-// The mesh workload: a 4×1×1 multicomputer where node 0 runs one
-// thread doing dependent remote loads from a segment homed on node 3
-// and one thread sweeping a local segment. Nodes 1 and 2 carry no
-// threads — they are route-through fabric and, for the node-kill
-// class, genuinely redundant hardware.
+// The mesh workload: a row of nodes where node 0 runs one thread doing
+// dependent remote loads from a segment homed on the last node and one
+// thread sweeping a local segment. On the 4-node campaign mesh, nodes 1
+// and 2 carry no threads — they are route-through fabric and, for the
+// node-kill class, genuinely redundant hardware. On the 2-node recovery
+// mesh, node 1 is a passive home node: all mutable state lives on node
+// 0, so restoring node 0 from a checkpoint rewinds the entire
+// computation (the remote traffic is read-only).
 const meshWatchdog = 6000
 
+// meshClean is the mesh workload's uninjected reference run on a row of
+// nodes: reference cycle count, fingerprint, and total message count
+// (the NoC classes pick their victim message out of this population).
 type meshClean struct {
+	nodes int
+	// remote and local are the workload's two programs, assembled once
+	// and shared read-only by every trial.
+	remote, local *asm.Program
+
 	cycles   uint64
 	fp       uint64
 	messages uint64
@@ -55,59 +66,70 @@ rd:	ld   r6, r4, 0
 	halt
 `
 
-// buildMesh boots the fault-campaign multicomputer with the watchdog
-// armed and, optionally, an interceptor on the fabric.
-func buildMesh(ic noc.Interceptor) (*multi.System, error) {
+// meshConfig is a row of dimX campaign nodes with the watchdog armed.
+// tolerant adds the reliable transport, coordinated checkpoints in a
+// ring, and watchdog-escalated auto-recovery.
+func (st stack) meshConfig(dimX int) multi.Config {
 	cfg := multi.DefaultConfig()
-	cfg.Mesh = noc.Config{DimX: 4, DimY: 1, DimZ: 1, RouterLatency: 2, InjectLatency: 1}
-	cfg.Node.PhysBytes = 1 << 20
-	cfg.Node.Clusters = 1
-	cfg.Node.SlotsPerCluster = 2
+	cfg.Mesh = noc.Config{DimX: dimX, DimY: 1, DimZ: 1, RouterLatency: 2, InjectLatency: 1}
+	cfg.Node = campaignNode()
 	cfg.WatchdogCycles = meshWatchdog
+	if st == tolerant {
+		cfg.Mesh.Transport.Enabled = true
+		cfg.CheckpointEvery = tolCkptInterval
+		cfg.CheckpointKeep = tolCkptKeep
+		cfg.AutoRecover = true
+		cfg.MaxRestores = tolMaxRestores
+	}
+	return cfg
+}
+
+// bootMesh boots a campaign multicomputer: flight rings on every node
+// and the fabric, ic on the fabric, the workload placed by load, and —
+// when cfg checkpoints — generation 0 banked before the first cycle.
+func bootMesh(cfg multi.Config, ic noc.Interceptor, load func(*multi.System) error) (*multi.System, error) {
 	s, err := multi.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.Net.Interceptor = ic
 	s.EnableFlight(flightRingSize)
-	if err := loadMeshWorkload(s, 3); err != nil {
+	if err := load(s); err != nil {
 		return nil, err
+	}
+	if cfg.CheckpointEvery > 0 {
+		if err := s.CheckpointNow(); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
-// loadMeshWorkload places the two-thread mesh workload on node 0 with
-// the remote thread's segment homed on node farNode.
-func loadMeshWorkload(s *multi.System, farNode int) error {
-	far, err := s.Nodes[farNode].K.AllocSegment(4096)
-	if err != nil {
-		return err
-	}
-	remote, err := asm.Assemble(meshRemoteSrc)
-	if err != nil {
-		return err
-	}
-	local, err := asm.Assemble(meshLocalSrc)
-	if err != nil {
-		return err
-	}
-	ipR, err := s.Nodes[0].K.LoadProgram(remote, false)
-	if err != nil {
-		return err
-	}
-	if _, err := s.Nodes[0].K.Spawn(1, ipR, map[int]word.Word{1: far.Word()}); err != nil {
-		return err
-	}
-	near, err := s.Nodes[0].K.AllocSegment(4096)
-	if err != nil {
-		return err
-	}
-	ipL, err := s.Nodes[0].K.LoadProgram(local, false)
-	if err != nil {
-		return err
-	}
-	if _, err := s.Nodes[0].K.Spawn(2, ipL, map[int]word.Word{1: near.Word()}); err != nil {
-		return err
+// boot boots a fresh copy of the clean run's mesh under st, with ic on
+// the fabric.
+func (c *meshClean) boot(st stack, ic noc.Interceptor) (*multi.System, error) {
+	return bootMesh(st.meshConfig(c.nodes), ic, c.load)
+}
+
+// load places the two-thread mesh workload on node 0, each thread with
+// its segment in r1: the remote thread's homed on the last node, the
+// local thread's on node 0.
+func (c *meshClean) load(s *multi.System) error {
+	for i, t := range []struct {
+		prog *asm.Program
+		home int
+	}{{c.remote, c.nodes - 1}, {c.local, 0}} {
+		seg, err := s.Nodes[t.home].K.AllocSegment(4096)
+		if err != nil {
+			return err
+		}
+		ip, err := s.Nodes[0].K.LoadProgram(t.prog, false)
+		if err != nil {
+			return err
+		}
+		if _, err := s.Nodes[0].K.Spawn(1+i, ip, map[int]word.Word{1: seg.Word()}); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -121,15 +143,22 @@ func meshThreads(s *multi.System) []*machine.Thread {
 	return all
 }
 
-// prepareMesh runs the uninjected mesh workload once: reference cycle
-// count, fingerprint, and total message count (the NoC classes pick
-// their victim message out of this population).
-func prepareMesh() (*meshClean, error) {
-	s, err := buildMesh(nil)
+// prepareMesh assembles the mesh workload and runs it once, uninjected
+// and under the bare stack, on a row of nodes.
+func prepareMesh(nodes int) (*meshClean, error) {
+	c := &meshClean{nodes: nodes}
+	var err error
+	if c.remote, err = asm.Assemble(meshRemoteSrc); err != nil {
+		return nil, err
+	}
+	if c.local, err = asm.Assemble(meshLocalSrc); err != nil {
+		return nil, err
+	}
+	s, err := c.boot(bare, nil)
 	if err != nil {
 		return nil, err
 	}
-	cycles := s.Run(1_000_000)
+	c.cycles = s.Run(1_000_000)
 	if !s.Done() || s.Hung() {
 		return nil, fmt.Errorf("faultinject: clean mesh run did not finish (hung=%v)", s.Hung())
 	}
@@ -138,42 +167,72 @@ func prepareMesh() (*meshClean, error) {
 			return nil, fmt.Errorf("faultinject: clean mesh thread %d: %v %v", t.ID, t.State, t.Fault)
 		}
 	}
-	return &meshClean{
-		cycles:   cycles,
-		fp:       machine.FingerprintThreads(meshThreads(s)),
-		messages: s.Net.Stats().Messages,
-	}, nil
+	c.fp = machine.FingerprintThreads(meshThreads(s))
+	c.messages = s.Net.Stats().Messages
+	return c, nil
 }
 
-// classifyMesh classifies a completed (or stopped) mesh trial,
-// attaching the system's flight-recorder dump to escaped outcomes.
-func classifyMesh(s *multi.System, clean *meshClean, maskDetail string) trialResult {
-	return attachMeshFlight(s, classifyMeshBare(s, clean, maskDetail))
-}
-
-func classifyMeshBare(s *multi.System, clean *meshClean, maskDetail string) trialResult {
-	for _, t := range meshThreads(s) {
-		if t.State == machine.Faulted {
-			return classifyFault(t.Fault)
+// classify is the back half of every mesh, node and migration trial. A
+// surviving fault is classified by its detection signal, a hang is the
+// watchdog's detection, a run still going at the end of its budget or a
+// fingerprint other than the clean fp escapes, and a clean finish is
+// ok. Under tolerant the stack should have repaired a surviving fault
+// or hang, so either is unrecovered. The stack's repair counters ride
+// along; under bare they are all zero.
+func (st stack) classify(s *multi.System, fp uint64, ok trialResult) trialResult {
+	r := ok
+	threads := meshThreads(s)
+	switch t := faultedThread(threads); {
+	case t != nil:
+		r = classifyFault(t.Fault)
+		if st == tolerant {
+			r.detail = "unrecovered-" + r.detail
+		}
+	case s.Hung():
+		r = trialResult{outcome: Detected, detail: "watchdog"}
+		if st == tolerant {
+			r.detail = "unrecovered-hang"
+		}
+	case !s.Done():
+		r = trialResult{outcome: Escaped, detail: "timeout"}
+	case machine.FingerprintThreads(threads) != fp:
+		r = trialResult{outcome: Escaped, detail: "silent-divergence"}
+	}
+	ns := s.Net.Stats()
+	r.restores = s.Restores()
+	r.checkpoints = s.Checkpoints()
+	r.retransmits = ns.Retransmits
+	r.dupSupp = ns.DupSuppressed
+	if rep := s.MigrateReport(); rep != nil {
+		r.migrateRetrans = rep.Link.Retransmits
+		r.migrateDupSupp = rep.Link.DupSuppressed
+		if !rep.Committed {
+			r.migrateAborts = 1
 		}
 	}
-	if s.Hung() {
-		return trialResult{outcome: Detected, detail: "watchdog"}
-	}
-	if !s.Done() {
-		return trialResult{outcome: Escaped, detail: "timeout"}
-	}
-	if machine.FingerprintThreads(meshThreads(s)) == clean.fp {
-		return trialResult{outcome: Masked, detail: maskDetail}
-	}
-	return trialResult{outcome: Escaped, detail: "silent-divergence"}
+	return r
 }
 
-// attachMeshFlight captures every flight recorder in the system into r
-// when r is an outcome the audit cannot explain away: an escape, or a
-// detection the tolerance stack should have repaired but did not.
-func attachMeshFlight(s *multi.System, r trialResult) trialResult {
-	if r.outcome == Escaped || strings.HasPrefix(r.detail, "unrecovered-") {
+// repaired is a mesh trial's clean finish: Tolerated under the
+// mechanism that repaired the fault, or Masked under maskDetail when
+// nothing needed repair.
+func repaired(s *multi.System, maskDetail string) trialResult {
+	ns := s.Net.Stats()
+	switch {
+	case ns.Retransmits > 0:
+		return trialResult{outcome: Tolerated, detail: "retransmit"}
+	case ns.DupSuppressed > 0:
+		return trialResult{outcome: Tolerated, detail: "dup-suppressed"}
+	case s.Restores() > 0:
+		return trialResult{outcome: Tolerated, detail: "auto-restore"}
+	}
+	return trialResult{outcome: Masked, detail: maskDetail}
+}
+
+// withFlight captures every flight recorder in the system into r when
+// st cannot explain r's outcome.
+func (st stack) withFlight(s *multi.System, r trialResult) trialResult {
+	if st.unexplained(r.outcome) {
 		var b strings.Builder
 		if err := s.FlightDump(&b, r.detail); err == nil {
 			r.flight = b.String()
@@ -183,13 +242,9 @@ func attachMeshFlight(s *multi.System, r trialResult) trialResult {
 }
 
 // runNoCTrial injects one message fault of the given class into the
-// mesh workload and classifies the outcome.
-func runNoCTrial(class Class, clean *meshClean, seed uint64) (res trialResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = trialResult{outcome: Escaped, detail: "panic"}
-		}
-	}()
+// mesh workload under st and classifies the outcome: the bare fabric
+// must detect it or shrug it off, the reliable transport must hide it.
+func (st stack) runNoCTrial(class Class, clean *meshClean, seed uint64) trialResult {
 	rng := NewRNG(seed)
 	var fate noc.Fate
 	var maskDetail string
@@ -210,43 +265,43 @@ func runNoCTrial(class Class, clean *meshClean, seed uint64) (res trialResult) {
 		return trialResult{outcome: Escaped, detail: "bad-class"}
 	}
 	mf := &MessageFaulter{Target: rng.Uint64n(clean.messages), Fate: fate}
-	s, err := buildMesh(mf)
+	s, err := clean.boot(st, mf)
 	if err != nil {
 		return trialResult{outcome: Escaped, detail: "build-error"}
 	}
-	s.Run(clean.cycles*3 + 4*meshWatchdog)
-	return classifyMesh(s, clean, maskDetail)
+	s.Run(st.budget(clean.cycles))
+	return st.withFlight(s, st.classify(s, clean.fp, repaired(s, maskDetail)))
 }
 
-// runNodeTrial kills or stalls one node mid-run and classifies the
-// outcome: a load-bearing node trips the watchdog (detected), an idle
-// node's death is survivable redundancy (masked), and a bounded stall
-// is a transient the fabric rides out (masked).
-func runNodeTrial(class Class, clean *meshClean, seed uint64) (res trialResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = trialResult{outcome: Escaped, detail: "panic"}
-		}
-	}()
+// runNodeTrial kills or stalls one node mid-run under st and classifies
+// the outcome. Under bare, a load-bearing node trips the watchdog
+// (detected), an idle node's death is survivable redundancy (masked),
+// and a bounded stall is a transient the fabric rides out (masked).
+// Under tolerant, the tripped watchdog restores every node from the
+// newest coordinated generation and resumes, with no caller
+// intervention.
+func (st stack) runNodeTrial(class Class, clean *meshClean, seed uint64) trialResult {
 	rng := NewRNG(seed)
-	s, err := buildMesh(nil)
+	s, err := clean.boot(st, nil)
 	if err != nil {
 		return trialResult{outcome: Escaped, detail: "build-error"}
 	}
-	injectAt := 1 + rng.Uint64n(clean.cycles*3/4)
-	s.Run(injectAt)
+	s.Run(1 + rng.Uint64n(clean.cycles*3/4))
 	victim := rng.Intn(len(s.Nodes))
 	var maskDetail string
 	switch class {
 	case NodeKill:
-		s.Kill(victim)
+		err = s.Kill(victim)
 		maskDetail = fmt.Sprintf("kill-node%d", victim)
 	case NodeStall:
-		s.Stall(victim, s.Cycle()+1+rng.Uint64n(2000))
+		err = s.Stall(victim, s.Cycle()+1+rng.Uint64n(2000))
 		maskDetail = "stall"
 	default:
 		return trialResult{outcome: Escaped, detail: "bad-class"}
 	}
-	s.Run(clean.cycles*3 + 4*meshWatchdog)
-	return classifyMesh(s, clean, maskDetail)
+	if err != nil {
+		return trialResult{outcome: Escaped, detail: "build-error"}
+	}
+	s.Run(st.budget(clean.cycles))
+	return st.withFlight(s, st.classify(s, clean.fp, repaired(s, maskDetail)))
 }

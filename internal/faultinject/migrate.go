@@ -7,7 +7,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/migrate"
 	"repro/internal/multi"
-	"repro/internal/noc"
 	"repro/internal/word"
 )
 
@@ -22,7 +21,6 @@ import (
 // migration); source/standby/cutover classes must abort with the
 // source untouched.
 const (
-	migrateWatchdog  = 6000
 	migrateCkptEvery = 150
 	// migrateCampaignAt arms the migration at a fixed cycle so the
 	// clean probe's frame count and stepped window hold for every
@@ -45,10 +43,11 @@ func migrateCampaignLink() migrate.LinkConfig {
 // shape of an unfaulted committed migration, which the fault classes
 // use to place their damage.
 type migrateClean struct {
-	cycles uint64 // clean full-run cycle count, no migration armed
-	fp     uint64 // timing-excluded architectural fingerprint
-	frames uint64 // frames a committed migration sends on the campaign wire
-	rounds int    // pre-copy rounds that migration took
+	prog   *asm.Program // the workload, assembled once and shared read-only
+	cycles uint64       // clean full-run cycle count, no migration armed
+	fp     uint64       // timing-excluded architectural fingerprint
+	frames uint64       // frames a committed migration sends on the campaign wire
+	rounds int          // pre-copy rounds that migration took
 }
 
 var migrateSrc = `
@@ -65,75 +64,64 @@ loop:
 	halt
 `
 
-// buildMigrateMesh boots the migration-campaign multicomputer with the
-// tolerance stack armed (checkpoint ring + watchdog auto-recovery, so
-// a killed source is survivable) and a generation banked at cycle 0.
-func buildMigrateMesh(mut func(*multi.Config)) (*multi.System, error) {
-	cfg := multi.DefaultConfig()
-	cfg.Mesh = noc.Config{DimX: 2, DimY: 1, DimZ: 1, RouterLatency: 2, InjectLatency: 1}
-	cfg.Node.PhysBytes = 1 << 20
-	cfg.Node.Clusters = 1
-	cfg.Node.SlotsPerCluster = 2
-	cfg.WatchdogCycles = migrateWatchdog
+// boot boots the migration-campaign multicomputer: the tolerant stack
+// without the reliable transport, checkpointing every migrateCkptEvery
+// cycles so a killed source is survivable, with a live migration of
+// node 0 armed under mcfg at migrateCampaignAt (none when mcfg is nil).
+func (fx *migrateClean) boot(mcfg *migrate.Config) (*multi.System, error) {
+	cfg := tolerant.meshConfig(2)
+	cfg.Mesh.Transport.Enabled = false
 	cfg.CheckpointEvery = migrateCkptEvery
-	cfg.CheckpointKeep = tolCkptKeep
-	cfg.AutoRecover = true
-	cfg.MaxRestores = tolMaxRestores
-	if mut != nil {
-		mut(&cfg)
+	if mcfg != nil {
+		cfg.MigrateAt = migrateCampaignAt
+		cfg.Migrate = *mcfg
 	}
-	s, err := multi.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.EnableFlight(flightRingSize)
+	return bootMesh(cfg, nil, fx.load)
+}
+
+// load places the workload's one thread on node 0, with a remote
+// segment homed on node 1 in r1 and a local one in r6.
+func (fx *migrateClean) load(s *multi.System) error {
 	far, err := s.Nodes[1].K.AllocSegment(4096)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	local, err := s.Nodes[0].K.AllocSegment(4096)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	prog, err := asm.Assemble(migrateSrc)
+	ip, err := s.Nodes[0].K.LoadProgram(fx.prog, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ip, err := s.Nodes[0].K.LoadProgram(prog, false)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.Nodes[0].K.Spawn(1, ip, map[int]word.Word{1: far.Word(), 6: local.Word()}); err != nil {
-		return nil, err
-	}
-	if err := s.CheckpointNow(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	_, err = s.Nodes[0].K.Spawn(1, ip, map[int]word.Word{1: far.Word(), 6: local.Word()})
+	return err
 }
 
 // prepareMigrateFixture runs the workload clean (no migration) for the
 // reference fingerprint, then runs one unfaulted armed migration to
 // learn the committed transfer's frame count and round shape.
 func prepareMigrateFixture() (*migrateClean, error) {
-	s, err := buildMigrateMesh(nil)
+	prog, err := asm.Assemble(migrateSrc)
 	if err != nil {
 		return nil, err
 	}
-	cycles := s.Run(1_000_000)
+	fx := &migrateClean{prog: prog}
+	s, err := fx.boot(nil)
+	if err != nil {
+		return nil, err
+	}
+	fx.cycles = s.Run(1_000_000)
 	if !s.Done() || s.Hung() {
 		return nil, fmt.Errorf("faultinject: clean migrate run did not finish (hung=%v)", s.Hung())
 	}
-	fx := &migrateClean{cycles: cycles, fp: machine.FingerprintThreads(meshThreads(s))}
+	fx.fp = machine.FingerprintThreads(meshThreads(s))
 
-	p, err := buildMigrateMesh(func(c *multi.Config) {
-		c.MigrateAt = migrateCampaignAt
-		c.Migrate = migrate.Config{Link: migrateCampaignLink()}
-	})
+	p, err := fx.boot(&migrate.Config{Link: migrateCampaignLink()})
 	if err != nil {
 		return nil, err
 	}
-	p.Run(fx.cycles*(tolMaxRestores+2) + 8*migrateWatchdog)
+	p.Run(tolerant.budget(fx.cycles))
 	rep := p.MigrateReport()
 	if rep == nil || !rep.Committed {
 		return nil, fmt.Errorf("faultinject: probe migration did not commit: %+v", rep)
@@ -149,54 +137,12 @@ func prepareMigrateFixture() (*migrateClean, error) {
 	return fx, nil
 }
 
-// classifyMigrate is the uniform back half of every migration trial:
-// faults and hangs are unrecovered detections, divergence from the
-// never-migrated fingerprint is an escape, and a clean finish is
-// Tolerated under okDetail. Repair counters ride along.
-func classifyMigrate(s *multi.System, fx *migrateClean, okDetail string) trialResult {
-	counters := func(r trialResult) trialResult {
-		r = attachMeshFlight(s, r)
-		r.restores = s.Restores()
-		r.checkpoints = s.Checkpoints()
-		if rep := s.MigrateReport(); rep != nil {
-			r.migrateRetrans = rep.Link.Retransmits
-			r.migrateDupSupp = rep.Link.DupSuppressed
-			if !rep.Committed {
-				r.migrateAborts = 1
-			}
-		}
-		return r
-	}
-	for _, t := range meshThreads(s) {
-		if t.State == machine.Faulted {
-			r := classifyFault(t.Fault)
-			r.detail = "unrecovered-" + r.detail
-			return counters(r)
-		}
-	}
-	if s.Hung() {
-		return counters(trialResult{outcome: Detected, detail: "unrecovered-hang"})
-	}
-	if !s.Done() {
-		return counters(trialResult{outcome: Escaped, detail: "timeout"})
-	}
-	if machine.FingerprintThreads(meshThreads(s)) != fx.fp {
-		return counters(trialResult{outcome: Escaped, detail: "silent-divergence"})
-	}
-	return counters(trialResult{outcome: Tolerated, detail: okDetail})
-}
-
 // runMigrateTrial injects one migration-stage fault and audits the
 // whole run: the lossy-wire classes must still commit (via
 // retransmission/dedup, never by restarting), the source/standby/
 // cutover classes must abort with the source bit-untouched, and every
 // trial must finish with the clean architectural fingerprint.
-func runMigrateTrial(fx *migrateClean, class Class, seed uint64) (res trialResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = trialResult{outcome: Escaped, detail: "panic"}
-		}
-	}()
+func runMigrateTrial(fx *migrateClean, class Class, seed uint64) trialResult {
 	rng := NewRNG(seed)
 	mcfg := migrate.Config{Link: migrateCampaignLink()}
 	wantCommit := false
@@ -260,10 +206,7 @@ func runMigrateTrial(fx *migrateClean, class Class, seed uint64) (res trialResul
 		return trialResult{outcome: Escaped, detail: "bad-class"}
 	}
 
-	s, err := buildMigrateMesh(func(c *multi.Config) {
-		c.MigrateAt = migrateCampaignAt
-		c.Migrate = mcfg
-	})
+	s, err := fx.boot(&mcfg)
 	if err != nil {
 		return trialResult{outcome: Escaped, detail: "build-error"}
 	}
@@ -280,29 +223,30 @@ func runMigrateTrial(fx *migrateClean, class Class, seed uint64) (res trialResul
 			}
 		}
 	}
-	s.Run(fx.cycles*(tolMaxRestores+2) + 8*migrateWatchdog)
+	s.Run(tolerant.budget(fx.cycles))
+	r := tolerant.classify(s, fx.fp, trialResult{outcome: Tolerated, detail: detail})
+	return tolerant.withFlight(s, r.worsen(migrateVerdict(s.MigrateReport(), class, wantCommit)))
+}
 
-	// Protocol checks first — they are stricter than the generic
-	// fingerprint gate — then the uniform classification.
-	fail := func(o Outcome, d string) trialResult {
-		r := classifyMigrate(s, fx, d)
-		r.outcome = o
-		r.detail = d
-		return attachMeshFlight(s, r)
-	}
-	rep := s.MigrateReport()
+// migrateVerdict checks the migration protocol, which is stricter than
+// the fingerprint: every trial's migration must run, lossy-wire classes
+// must commit by retransmission or dedup, and the other classes must
+// abort — a killed source for the source-failed reason. A protocol that
+// held is Tolerated, the best verdict, so it never changes a
+// classification (trialResult.worsen).
+func migrateVerdict(rep *migrate.Report, class Class, wantCommit bool) trialResult {
 	switch {
 	case rep == nil:
-		return fail(Escaped, "migrate-never-ran")
+		return trialResult{outcome: Escaped, detail: "migrate-never-ran"}
 	case wantCommit && !rep.Committed:
-		return fail(Detected, "migrate-gave-up")
+		return trialResult{outcome: Detected, detail: "migrate-gave-up"}
 	case !wantCommit && rep.Committed:
-		return fail(Escaped, "migrate-stale-commit")
+		return trialResult{outcome: Escaped, detail: "migrate-stale-commit"}
 	case class == MigrateSrcKill && rep.Reason != "source-failed":
-		return fail(Escaped, "migrate-wrong-abort")
+		return trialResult{outcome: Escaped, detail: "migrate-wrong-abort"}
 	case wantCommit && rep.Link.Retransmits == 0 && rep.Link.DupSuppressed == 0:
 		// The fault never landed on the wire — nothing was exercised.
-		return fail(Masked, "migrate-fault-missed")
+		return trialResult{outcome: Masked, detail: "migrate-fault-missed"}
 	}
-	return classifyMigrate(s, fx, detail)
+	return trialResult{outcome: Tolerated}
 }

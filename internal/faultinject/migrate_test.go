@@ -3,6 +3,8 @@ package faultinject
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/migrate"
 )
 
 // The migration-fault campaign's gate: every class is Tolerated — the
@@ -102,5 +104,38 @@ func TestMigrateFixtureShape(t *testing.T) {
 	}
 	if fx.frames < 5 {
 		t.Errorf("probe migration sent %d frames", fx.frames)
+	}
+}
+
+// TestMigrateVerdictOnlyWorsens: a protocol verdict may demote a
+// migration trial's classification, never promote it — a trial that
+// diverged or hung stays failed even when its link never retransmitted.
+func TestMigrateVerdictOnlyWorsens(t *testing.T) {
+	missed := &migrate.Report{Committed: true} // committed, nothing retransmitted
+	cases := []struct {
+		rep        *migrate.Report
+		wantCommit bool
+		in         trialResult
+		want       trialResult
+	}{
+		{missed, true, trialResult{outcome: Escaped, detail: "silent-divergence"},
+			trialResult{outcome: Escaped, detail: "silent-divergence"}},
+		{missed, true, trialResult{outcome: Detected, detail: "unrecovered-hang"},
+			trialResult{outcome: Detected, detail: "unrecovered-hang"}},
+		{missed, true, trialResult{outcome: Tolerated, detail: "migrate-retransmit"},
+			trialResult{outcome: Masked, detail: "migrate-fault-missed"}},
+		{missed, false, trialResult{outcome: Detected, detail: "unrecovered-hang"},
+			trialResult{outcome: Escaped, detail: "migrate-stale-commit"}},
+		{&migrate.Report{}, true, trialResult{outcome: Masked, detail: "x"},
+			trialResult{outcome: Detected, detail: "migrate-gave-up"}},
+		{&migrate.Report{Committed: true, Link: migrate.LinkStats{Retransmits: 2}}, true,
+			trialResult{outcome: Tolerated, detail: "migrate-retransmit"},
+			trialResult{outcome: Tolerated, detail: "migrate-retransmit"}},
+	}
+	for i, c := range cases {
+		got := c.in.worsen(migrateVerdict(c.rep, MigrateFrameDrop, c.wantCommit))
+		if got.outcome != c.want.outcome || got.detail != c.want.detail {
+			t.Errorf("case %d: %v/%s, want %v/%s", i, got.outcome, got.detail, c.want.outcome, c.want.detail)
+		}
 	}
 }

@@ -37,21 +37,16 @@ const (
 // run's outcome. Trials copy it; nobody mutates it.
 type persistFixture struct {
 	dir    string
-	cfg    machine.Config
 	budget uint64
 	fp     uint64 // fingerprint of the uninjected run's final state
 }
 
-// preparePersistFixture runs the sweep-sum workload under a Saver,
-// committing persistFixtureGens generations, then finishes the run to
-// compute the reference fingerprint every trial must reproduce.
-func preparePersistFixture(dir string) (*persistFixture, error) {
-	w := localWorkloads()[0]
-	cfg := machine.MMachine()
-	cfg.Clusters = 1
-	cfg.SlotsPerCluster = 2
-	cfg.PhysBytes = 1 << 20
-	k, _, _, err := buildLocalWith(w, cfg)
+// preparePersistFixture runs the prepared workload w, with no
+// memory-protection plane, under a Saver, committing persistFixtureGens
+// generations, then finishes the run to compute the reference
+// fingerprint every trial must reproduce.
+func preparePersistFixture(dir string, w *workload) (*persistFixture, error) {
+	k, _, _, err := bootLocal(w, campaignNode())
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +72,7 @@ func preparePersistFixture(dir string) (*persistFixture, error) {
 	if !k.M.Done() {
 		return nil, fmt.Errorf("faultinject: persist fixture workload did not finish")
 	}
-	return &persistFixture{dir: dir, cfg: cfg, budget: w.budget,
+	return &persistFixture{dir: dir, budget: w.budget,
 		fp: machine.FingerprintThreads(k.M.Threads())}, nil
 }
 
@@ -202,7 +197,7 @@ func runPersistTrial(fx *persistFixture, class Class, seed uint64) trialResult {
 		return trialResult{outcome: Detected, detail: "persist-unrecovered",
 			persistCorrupt: st.Stats().CorruptDetected}
 	}
-	k, err := kernel.Restore(fx.cfg, cps[0])
+	k, err := kernel.Restore(campaignNode(), cps[0])
 	if err != nil {
 		return trialResult{outcome: Detected, detail: "persist-unrecovered",
 			persistCorrupt: st.Stats().CorruptDetected}

@@ -87,7 +87,11 @@ func TestPersistRowsAbsentWithoutTrials(t *testing.T) {
 // 1 and 4 so any single-generation damage leaves an intact chain.
 func TestPersistFixtureShape(t *testing.T) {
 	dir := t.TempDir()
-	fx, err := preparePersistFixture(dir)
+	w := localWorkloads()[0]
+	if err := w.prepare(); err != nil {
+		t.Fatal(err)
+	}
+	fx, err := preparePersistFixture(dir, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/machine"
-	"repro/internal/multi"
-	"repro/internal/noc"
 )
 
 // RecoveryResult reports one checkpoint/kill/restore exercise.
@@ -25,67 +23,38 @@ func (r *RecoveryResult) String() string {
 		r.CheckpointCycle, r.KillCycle, r.WatchdogTripped, r.Recovered, r.Match)
 }
 
-// buildRecovery boots the recovery scenario: a 2-node mesh where node 0
-// runs one thread doing remote reads from node 1 plus one local-sweep
-// thread, and node 1 is a passive home node. All mutable state lives on
-// node 0, so restoring node 0 from a checkpoint rewinds the entire
-// computation — re-execution after restore is idempotent by
-// construction (remote traffic is read-only).
-func buildRecovery() (*multi.System, machine.Config, error) {
-	cfg := multi.DefaultConfig()
-	cfg.Mesh = noc.Config{DimX: 2, DimY: 1, DimZ: 1, RouterLatency: 2, InjectLatency: 1}
-	cfg.Node.PhysBytes = 1 << 20
-	cfg.Node.Clusters = 1
-	cfg.Node.SlotsPerCluster = 2
-	cfg.WatchdogCycles = meshWatchdog
-	s, err := multi.New(cfg)
-	if err != nil {
-		return nil, machine.Config{}, err
-	}
-	if err := loadMeshWorkload(s, 1); err != nil {
-		return nil, machine.Config{}, err
-	}
-	return s, cfg.Node, nil
-}
-
-// RecoveryTrial runs the full graceful-recovery loop: checkpoint node 0
-// mid-run, kill it later, let the watchdog detect the hang, rebuild the
-// node's kernel from the checkpoint, revive it, and run to completion.
-// Success means the resumed run's architectural fingerprint equals an
-// uninterrupted run's.
-func RecoveryTrial(seed uint64) (*RecoveryResult, error) {
+// recoveryTrial runs the bare stack's graceful-recovery loop on the
+// 2-node mesh: checkpoint node 0 mid-run, kill it later, let the
+// watchdog detect the hang, rebuild the node's kernel from the
+// checkpoint, revive it, and run to completion. Success means the
+// resumed run's architectural fingerprint equals an uninterrupted
+// run's.
+func recoveryTrial(seed uint64) (*RecoveryResult, error) {
 	rng := NewRNG(seed)
-
-	// Reference: the uninterrupted run.
-	s1, _, err := buildRecovery()
+	clean, err := prepareMesh(2)
 	if err != nil {
 		return nil, err
 	}
-	cycles := s1.Run(1_000_000)
-	if !s1.Done() || s1.Hung() {
-		return nil, fmt.Errorf("faultinject: recovery reference run did not finish (hung=%v)", s1.Hung())
-	}
-	cleanFP := machine.FingerprintThreads(s1.Nodes[0].K.M.Threads())
 
 	// Faulted run: checkpoint, then kill, then watchdog.
-	s2, nodeCfg, err := buildRecovery()
+	s, err := clean.boot(bare, nil)
 	if err != nil {
 		return nil, err
 	}
-	ckAt := 1 + rng.Uint64n(cycles/2)
-	killAt := ckAt + 1 + rng.Uint64n(cycles/4)
+	ckAt := 1 + rng.Uint64n(clean.cycles/2)
+	killAt := ckAt + 1 + rng.Uint64n(clean.cycles/4)
 	var cp *kernel.Checkpoint
 	var cpErr error
-	s2.OnCycle = func(c uint64) {
+	s.OnCycle = func(c uint64) {
 		switch c {
 		case ckAt:
-			cp, cpErr = s2.Nodes[0].K.Checkpoint()
+			cp, cpErr = s.Nodes[0].K.Checkpoint()
 		case killAt:
-			s2.Kill(0)
+			s.Kill(0)
 		}
 	}
-	budget := cycles*3 + 4*meshWatchdog
-	s2.Run(budget)
+	budget := bare.budget(clean.cycles)
+	s.Run(budget)
 	if cpErr != nil {
 		return nil, fmt.Errorf("faultinject: checkpoint: %w", cpErr)
 	}
@@ -95,20 +64,58 @@ func RecoveryTrial(seed uint64) (*RecoveryResult, error) {
 	res := &RecoveryResult{
 		CheckpointCycle: ckAt,
 		KillCycle:       killAt,
-		WatchdogTripped: s2.Hung(),
-		CleanFP:         cleanFP,
+		WatchdogTripped: s.Hung(),
+		CleanFP:         clean.fp,
 	}
 
 	// Recover: rebuild node 0 from the checkpoint and resume.
-	k2, err := kernel.Restore(nodeCfg, cp)
+	k2, err := kernel.Restore(campaignNode(), cp)
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: restore: %w", err)
 	}
-	s2.OnCycle = nil
-	s2.Revive(0, k2)
-	s2.Run(budget)
-	res.Recovered = s2.Done() && !s2.Hung()
-	res.RecoveredFP = machine.FingerprintThreads(s2.Nodes[0].K.M.Threads())
+	s.OnCycle = nil
+	s.Revive(0, k2)
+	s.Run(budget)
+	res.Recovered = s.Done() && !s.Hung()
+	res.RecoveredFP = machine.FingerprintThreads(meshThreads(s))
+	res.Match = res.Recovered && res.RecoveredFP == res.CleanFP
+	return res, nil
+}
+
+// autoRecoveryTrial is recoveryTrial's closed-loop counterpart under the
+// tolerant stack: the same kill, but the system checkpoints itself on a
+// cadence and the watchdog performs the restore — the harness only
+// injects the kill and verifies the fingerprint.
+func autoRecoveryTrial(seed uint64) (*RecoveryResult, error) {
+	rng := NewRNG(seed)
+	// The reference is the same bare run recoveryTrial compares against:
+	// the fingerprint is architectural.
+	clean, err := prepareMesh(2)
+	if err != nil {
+		return nil, err
+	}
+
+	s, err := clean.boot(tolerant, nil)
+	if err != nil {
+		return nil, err
+	}
+	killAt := 1 + rng.Uint64n(clean.cycles*3/4)
+	s.OnCycle = func(c uint64) {
+		if c == killAt {
+			if err := s.Kill(0); err == nil {
+				s.OnCycle = nil
+			}
+		}
+	}
+	s.Run(tolerant.budget(clean.cycles))
+	res := &RecoveryResult{
+		CheckpointCycle: killAt / tolCkptInterval * tolCkptInterval,
+		KillCycle:       killAt,
+		WatchdogTripped: s.Restores() > 0,
+		CleanFP:         clean.fp,
+		Recovered:       s.Done() && !s.Hung(),
+		RecoveredFP:     machine.FingerprintThreads(meshThreads(s)),
+	}
 	res.Match = res.Recovered && res.RecoveredFP == res.CleanFP
 	return res, nil
 }

@@ -20,9 +20,12 @@ type workload struct {
 	threads int
 	budget  uint64
 
-	// clean is the uninjected reference run, computed once per
-	// campaign: total cycles to completion and the architectural
+	// prog and clean are computed once per campaign by prepare: the
+	// assembled program, which every trial shares read-only
+	// (kernel.LoadProgram only reads it), and the uninjected reference
+	// run — total cycles to completion and the architectural
 	// fingerprint every masked trial must reproduce.
+	prog  *asm.Program
 	clean cleanRun
 }
 
@@ -120,42 +123,33 @@ func WorkloadSources() map[string]string {
 	return out
 }
 
-// buildLocal boots a single-node kernel running w: one cluster, two
-// slots, one thread per domain with its own data segment, parity plane
-// armed, register-file integrity hook installed.
-func buildLocal(w *workload) (*kernel.Kernel, *Injector, []core.Pointer, error) {
+// campaignNode is the machine every campaign node runs on: one
+// cluster of two slots and 1 MB of memory.
+func campaignNode() machine.Config {
 	cfg := machine.MMachine()
 	cfg.Clusters = 1
 	cfg.SlotsPerCluster = 2
 	cfg.PhysBytes = 1 << 20
-	k, inj, segs, err := buildLocalWith(w, cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	k.M.Space.Phys.EnableParity()
-	return k, inj, segs, nil
+	return cfg
 }
 
-// buildLocalWith boots the workload on an arbitrary machine config with
-// no memory-protection plane enabled — the caller picks parity
-// (baseline campaigns) or ECC (tolerant campaigns) afterwards.
-func buildLocalWith(w *workload, cfg machine.Config) (*kernel.Kernel, *Injector, []core.Pointer, error) {
+// bootLocal boots the prepared workload on cfg — one thread per domain,
+// each with its own data segment, and the register-file integrity hook
+// installed — with no memory-protection plane: the stack picks one
+// afterwards (stack.local), and the persistence fixture runs without.
+func bootLocal(w *workload, cfg machine.Config) (*kernel.Kernel, *Injector, []core.Pointer, error) {
 	k, err := kernel.New(cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	prog, err := asm.Assemble(w.src)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("faultinject: workload %s: %w", w.name, err)
-	}
 	inj := &Injector{}
 	k.M.Integrity = inj.CheckInst
 	// Always-on flight ring: dumped into the trial result only when the
-	// outcome escapes classification.
+	// audit cannot explain the outcome.
 	k.M.Flight = telemetry.NewFlightRecorder(flightRingSize)
 	var segs []core.Pointer
 	for d := 1; d <= w.threads; d++ {
-		ip, err := k.LoadProgram(prog, false)
+		ip, err := k.LoadProgram(w.prog, false)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -171,9 +165,14 @@ func buildLocalWith(w *workload, cfg machine.Config) (*kernel.Kernel, *Injector,
 	return k, inj, segs, nil
 }
 
-// prepare computes the workload's clean reference run.
+// prepare assembles the workload and computes its clean reference run.
 func (w *workload) prepare() error {
-	k, _, _, err := buildLocal(w)
+	prog, err := asm.Assemble(w.src)
+	if err != nil {
+		return fmt.Errorf("faultinject: workload %s: %w", w.name, err)
+	}
+	w.prog = prog
+	k, _, _, err := bare.local(w)
 	if err != nil {
 		return err
 	}
