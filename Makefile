@@ -115,9 +115,10 @@ fuzz-short:
 
 # Durable-checkpoint gate (docs/ROBUSTNESS.md): the E28 chain
 # differential + persistence-fault campaign + capture-cost gates, the
-# on-disk format and store unit tests, the dirty-bit lifecycle and
-# delta-capture tests, the multicomputer's disk-backed checkpoint ring,
-# and the mmsim -checkpoint-dir/-restore CLI flow.
+# image format and store unit tests (a crash after every prefix of the
+# store's file operations included), the dirty-bit lifecycle and
+# delta-capture tests, the multicomputer's checkpoint store in a
+# directory, and the mmsim -checkpoint-dir/-restore CLI flow.
 persist:
 	$(GO) run ./cmd/experiments -run E28
 	$(GO) test ./internal/persist/

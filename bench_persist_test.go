@@ -1,5 +1,5 @@
 // Benchmarks for the incremental checkpoint pipeline (E28's wall-time
-// twin, docs/ROBUSTNESS.md): a full gob image versus a dirty-page delta
+// twin, docs/ROBUSTNESS.md): a full base image versus a dirty-page delta
 // in the durable on-disk encoding, at 1% / 10% / 50% of a dense
 // 200-page footprint dirty per capture. The acceptance target is the
 // delta at 10% dirty beating the full image by >= 5x in both bytes
@@ -20,8 +20,7 @@ import (
 const persistBenchPages = 200
 
 // persistBenchKernel boots a kernel holding persistBenchPages resident
-// pages of dense data (every word non-zero, so gob cannot shrink the
-// full image by omitting zero fields).
+// pages of dense data (every word non-zero).
 func persistBenchKernel(b *testing.B) (*kernel.Kernel, uint64) {
 	b.Helper()
 	cfg := machine.MMachine()
@@ -59,7 +58,7 @@ func dirtyPages(b *testing.B, k *kernel.Kernel, base uint64, n, round int) {
 	}
 }
 
-func BenchmarkPersist_FullGob(b *testing.B) {
+func BenchmarkPersist_Base(b *testing.B) {
 	for _, pct := range []int{1, 10, 50} {
 		b.Run(pctName(pct), func(b *testing.B) {
 			k, base := persistBenchKernel(b)
@@ -75,7 +74,8 @@ func BenchmarkPersist_FullGob(b *testing.B) {
 					b.Fatal(err)
 				}
 				buf.Reset()
-				if err := cp.Encode(&buf); err != nil {
+				hdr := persist.Header{Gen: uint64(i) + 1, Parent: uint64(i) + 1}
+				if err := persist.Encode(&buf, hdr, cp); err != nil {
 					b.Fatal(err)
 				}
 				lastLen = buf.Len()

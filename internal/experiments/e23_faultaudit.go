@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"sync"
-
 	"repro/internal/faultinject"
 )
 
@@ -12,23 +10,6 @@ func init() {
 		runE23)
 }
 
-// e23Once holds the default audit: >10k seeded injections across ten
-// fault classes plus the checkpoint/kill/restore recovery exercise. The
-// test suite renders E23 twice and reads the result, so the campaign
-// runs once per process.
-var e23Once struct {
-	sync.Once
-	res *faultinject.Result
-	err error
-}
-
-func e23Result() (*faultinject.Result, error) {
-	e23Once.Do(func() {
-		e23Once.res, e23Once.err = faultinject.RunCampaign(faultinject.DefaultCampaign())
-	})
-	return e23Once.res, e23Once.err
-}
-
 // runE23 is the protection audit the paper's protection model invites:
 // if every pointer is guarded and every plane is checked, a soft error
 // anywhere in the system must surface as an explicit detection (parity,
@@ -36,7 +17,9 @@ func e23Result() (*faultinject.Result, error) {
 // never a silent divergence. The campaign is replayable: the table is a
 // pure function of the seed.
 func runE23() (string, error) {
-	res, err := e23Result()
+	// The default audit: >10k seeded injections across ten fault classes
+	// plus the checkpoint/kill/restore recovery exercise.
+	res, err := faultinject.RunCampaign(faultinject.DefaultCampaign())
 	if err != nil {
 		return "", err
 	}

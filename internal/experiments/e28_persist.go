@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 
@@ -17,7 +16,7 @@ import (
 
 func init() {
 	register("E28",
-		"Robustness — incremental crash-safe checkpoints: delta chains restore bit-identically from every generation, damaged stores fall back, deltas beat full gob capture",
+		"Robustness — incremental crash-safe checkpoints: delta chains restore bit-identically from every generation, damaged stores fall back, deltas beat full base images",
 		runE28)
 }
 
@@ -32,10 +31,10 @@ func init() {
 //     bit rot and missing generations against a pristine store; the
 //     gate is zero unrecovered stores and zero silent divergence.
 //  3. Capture cost — on a wide memory footprint, the bytes a delta
-//     writes at 1% / 10% / 50% dirty ratios versus a full gob image;
-//     the gate is ≥ 5× cheaper at 10% dirty. (Wall-time for the same
-//     comparison is the root BenchmarkPersist_* rows; tables gate only
-//     on deterministic byte counts.)
+//     writes at 1% / 10% / 50% dirty ratios versus a base image in the
+//     same encoding; the gate is ≥ 5× cheaper at 10% dirty. (Wall-time
+//     for the same comparison is the root BenchmarkPersist_* rows;
+//     tables gate only on deterministic byte counts.)
 
 type e28ChainRow struct {
 	gen   uint64
@@ -45,17 +44,10 @@ type e28ChainRow struct {
 	match bool
 }
 
-type e28Results struct {
-	chain    []e28ChainRow
-	allMatch bool
-	campaign *faultinject.Result
-	cost     []e28CostRow
-}
-
 type e28CostRow struct {
 	pct        int
 	dirtyPages int
-	gobBytes   int
+	baseBytes  int
 	deltaBytes int
 	ratio      float64
 }
@@ -189,7 +181,7 @@ func e28Chain() ([]e28ChainRow, bool, error) {
 
 // e28Cost builds a ~200-page resident footprint, then measures how many
 // bytes a delta capture writes when 1%, 10% and 50% of the pages are
-// dirty, against a full gob image of the same machine.
+// dirty, against a base image of the same machine.
 func e28Cost() ([]e28CostRow, error) {
 	const pages = 200
 	cfg := machine.MMachine()
@@ -204,9 +196,8 @@ func e28Cost() ([]e28CostRow, error) {
 	}
 	base := seg.Addr()
 	s := k.M.Space
-	// Dense data in every word: a zero-filled footprint would let gob's
-	// omit-zero struct encoding shrink the full image to almost nothing
-	// and make the comparison meaningless.
+	// Dense data in every word, so no encoding can shrink an image by
+	// leaving zero words out.
 	for p := 0; p < pages; p++ {
 		for w := 0; w < vm.PageSize/8; w++ {
 			off := uint64(p)*vm.PageSize + uint64(w)*8
@@ -220,18 +211,6 @@ func e28Cost() ([]e28CostRow, error) {
 		return nil, err
 	}
 
-	gobBytes := func() (int, error) {
-		cp, err := k.Checkpoint()
-		if err != nil {
-			return 0, err
-		}
-		var buf bytes.Buffer
-		if err := cp.Encode(&buf); err != nil {
-			return 0, err
-		}
-		return buf.Len(), nil
-	}
-
 	var rows []e28CostRow
 	for _, pct := range []int{1, 10, 50} {
 		n := pages * pct / 100
@@ -242,7 +221,7 @@ func e28Cost() ([]e28CostRow, error) {
 				return nil, err
 			}
 		}
-		gb, err := gobBytes()
+		full, err := k.Checkpoint()
 		if err != nil {
 			return nil, err
 		}
@@ -254,44 +233,32 @@ func e28Cost() ([]e28CostRow, error) {
 		if !cp.Delta || len(cp.Resident) != n {
 			return nil, fmt.Errorf("e28: %d%% dirty captured %d pages, want %d", pct, len(cp.Resident), n)
 		}
-		var buf bytes.Buffer
-		hdr := persist.Header{Gen: uint64(pct), Parent: uint64(pct) - 1, Delta: true}
-		if err := persist.Encode(&buf, hdr, cp); err != nil {
-			return nil, err
-		}
+		bb, db := persist.EncodedSize(full), persist.EncodedSize(cp)
 		rows = append(rows, e28CostRow{
-			pct: pct, dirtyPages: n, gobBytes: gb, deltaBytes: buf.Len(),
-			ratio: float64(gb) / float64(buf.Len()),
+			pct: pct, dirtyPages: n, baseBytes: bb, deltaBytes: db,
+			ratio: float64(bb) / float64(db),
 		})
 	}
 	return rows, nil
 }
 
-func e28Compute() (*e28Results, error) {
-	chain, all, err := e28Chain()
+func runE28() (string, error) {
+	chain, allMatch, err := e28Chain()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	campaign, err := faultinject.RunCampaign(faultinject.DefaultPersistCampaign())
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	cost, err := e28Cost()
-	if err != nil {
-		return nil, err
-	}
-	return &e28Results{chain: chain, allMatch: all, campaign: campaign, cost: cost}, nil
-}
-
-func runE28() (string, error) {
-	res, err := e28Compute()
 	if err != nil {
 		return "", err
 	}
 
 	tbl := stats.NewTable("Delta-chain differential (restore every generation, run to completion)",
 		"generation", "kind", "pages", "bytes", "fingerprint")
-	for _, r := range res.chain {
+	for _, r := range chain {
 		fp := "match"
 		if !r.match {
 			fp = "DIVERGED"
@@ -300,31 +267,31 @@ func runE28() (string, error) {
 	}
 	out := tbl.String()
 
-	out += "\n" + res.campaign.Table()
+	out += "\n" + campaign.Table()
 
-	ct := stats.NewTable("\nCapture cost: incremental delta vs full gob image (200-page footprint)",
-		"dirty", "pages", "full gob B", "delta B", "ratio")
-	for _, r := range res.cost {
-		ct.AddRow(fmt.Sprintf("%d%%", r.pct), r.dirtyPages, r.gobBytes, r.deltaBytes,
+	ct := stats.NewTable("\nCapture cost: incremental delta vs full base image (200-page footprint)",
+		"dirty", "pages", "base B", "delta B", "ratio")
+	for _, r := range cost {
+		ct.AddRow(fmt.Sprintf("%d%%", r.pct), r.dirtyPages, r.baseBytes, r.deltaBytes,
 			fmt.Sprintf("%.1fx", r.ratio))
 	}
 	out += ct.String()
 
-	if !res.allMatch {
+	if !allMatch {
 		return out, fmt.Errorf("e28: a restored generation diverged from the clean run")
 	}
-	if err := res.campaign.Gate(); err != nil {
+	if err := campaign.Gate(); err != nil {
 		return out, fmt.Errorf("e28: %w", err)
 	}
-	for _, r := range res.cost {
+	for _, r := range cost {
 		if r.pct == 10 && r.ratio < 5 {
-			return out, fmt.Errorf("e28: delta at 10%% dirty only %.1fx cheaper than full gob (want ≥ 5x)", r.ratio)
+			return out, fmt.Errorf("e28: delta at 10%% dirty only %.1fx cheaper than a base image (want ≥ 5x)", r.ratio)
 		}
 	}
 	out += "\nevery generation of the delta chain restores to the clean fingerprint; every seeded\n" +
 		"store damage (torn write, truncation, bit rot, missing generation) was either masked\n" +
 		"or detected-and-recovered by falling back to an intact generation; and incremental\n" +
-		"capture at 10% dirty writes the required ≥5x fewer bytes than a full gob image\n" +
-		"(wall-time twin: root BenchmarkPersist_FullGob/BenchmarkPersist_Delta, make bench)\n"
+		"capture at 10% dirty writes the required ≥5x fewer bytes than a full base image\n" +
+		"(wall-time twin: root BenchmarkPersist_Base/BenchmarkPersist_Delta, make bench)\n"
 	return out, nil
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -41,6 +43,18 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// reports holds each experiment's report for the test process, keyed by
+// id: the per-experiment tests and the golden test read the same run, so
+// every campaign runs once.
+var reports sync.Map
+
+// memoised returns e with its Run replaced by the process-wide run.
+func memoised(e Experiment) Experiment {
+	run, _ := reports.LoadOrStore(e.ID, sync.OnceValues(e.Run))
+	e.Run = run.(func() (string, error))
+	return e
+}
+
 // runOne is a helper asserting an experiment produces a non-trivial
 // report containing the given markers.
 func runOne(t *testing.T, id string, markers ...string) string {
@@ -49,7 +63,7 @@ func runOne(t *testing.T, id string, markers ...string) string {
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	out, err := e.Run()
+	out, err := memoised(e).Run()
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -95,6 +109,20 @@ func TestE3ShapeHolds(t *testing.T) {
 	if gateCPC < 10*enterCPC {
 		t.Errorf("gate %.1f vs enter %.1f: expected ≥10x gap", gateCPC, enterCPC)
 	}
+}
+
+// tableCell returns the last field, as a number, of the first line of
+// out that starts with label.
+func tableCell(t *testing.T, out, label string) float64 {
+	t.Helper()
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, label) {
+			f := strings.Fields(l)
+			return atofField(t, f[len(f)-1])
+		}
+	}
+	t.Fatalf("no %q row in:\n%s", label, out)
+	return 0
 }
 
 func atofField(t *testing.T, s string) float64 {
@@ -381,13 +409,20 @@ func TestE23AuditZeroEscapes(t *testing.T) {
 	if !strings.Contains(out, "fingerprint-match=true") {
 		t.Errorf("recovery line missing or diverged:\n%s", out)
 	}
-	if res, _ := e23Result(); res.Trials < 10000 {
-		t.Errorf("audit ran %d injections, want >= 10000", res.Trials)
+	var trials int
+	for _, l := range strings.Split(out, "\n") {
+		if _, err := fmt.Sscanf(l, "Fault-injection audit (seed 1, %d injections)", &trials); err == nil {
+			break
+		}
+	}
+	if trials < 10000 {
+		t.Errorf("audit ran %d injections, want >= 10000", trials)
 	}
 }
 
 // experimentsGoldenPath pins every table `go run ./cmd/experiments`
-// prints: RunAll renders the same text as the CLI. Edit the file only
+// prints: Render of every experiment, in id order on one worker, is the
+// CLI's text. Edit the file only
 // together with a deliberate table change, and list the changed rows
 // in CHANGES.md.
 const experimentsGoldenPath = "testdata/experiments.golden"
@@ -418,7 +453,11 @@ func TestRunAllSucceeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness run in -short mode")
 	}
-	out, err := RunAll()
+	list := All()
+	for i := range list {
+		list[i] = memoised(list[i])
+	}
+	out, err := Render(list, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +516,7 @@ func TestE28PersistentCheckpoints(t *testing.T) {
 	if strings.Contains(out, "DIVERGED") {
 		t.Fatalf("E28 reports a diverged generation:\n%s", out)
 	}
-	res, err := e28Compute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.campaign.PersistFallbacks == 0 {
+	if fallbacks := tableCell(t, out, "persist fallback restores"); fallbacks == 0 {
 		t.Error("no damaged store recovered by falling back to an older generation")
 	}
 }

@@ -152,8 +152,11 @@ func (st stack) runLocalTrial(w *workload, class Class, seed uint64) trialResult
 	injectAt := 1 + rng.Uint64n(w.clean.cycles)
 	var r trialResult
 	if st == tolerant {
-		d := &tolDriver{k: k, inj: inj}
-		d.maybeCheckpoint() // generation 0: the booted, unfaulted machine
+		d, err := newTolDriver(k, inj)
+		if err != nil {
+			return trialResult{outcome: Escaped, detail: "build-error"}
+		}
+		d.maybeCheckpoint() // generation 1: the booted, unfaulted machine
 		d.run(injectAt)
 		r = d.finish(w, injectLocal(class, d.k, inj, segs, rng))
 		k = d.k

@@ -4,7 +4,7 @@
 // The bare stack proves every fault is *detected* or masked. The
 // tolerant stack proves every detectable fault is *recovered*:
 // single-node trials run under SECDED ECC with the machine's background
-// scrubber and a ring of verified checkpoints that roll the kernel back
+// scrubber and a store of verified checkpoints that roll the kernel back
 // through register/TLB machine checks; mesh trials run with the NoC
 // reliable transport retransmitting through drop/corrupt faults and
 // suppressing duplicates; node trials run with the multicomputer's
@@ -19,47 +19,58 @@ package faultinject
 import (
 	"repro/internal/kernel"
 	"repro/internal/machine"
+	"repro/internal/persist"
 )
 
 // Tolerant-stack tuning: checkpoint cadence and rollback budget,
 // background-scrubber cadence for single-node machines.
 const (
 	tolCkptInterval = 400 // cycles between verified checkpoints
-	tolCkptKeep     = 2   // checkpoint ring size
+	tolCkptKeep     = 2   // generations a checkpoint store retains
 	tolMaxRestores  = 4   // rollback budget per trial
 	tolScrubEvery   = 64  // machine cycles between scrub sweeps
 	tolScrubWords   = 256 // words per sweep
 )
 
 // tolDriver drives one single-node tolerant trial: chunked execution
-// with a ring of verified checkpoints, rolling back through detected
-// faults. "Verified" means a generation is captured only when the
-// armed-register model is quiet — and kernel.Checkpoint reads memory
-// through the ECC plane, healing correctable decay on the way into the
-// image — so by induction every banked generation is clean.
+// with verified checkpoints in a memory store, rolling back through
+// detected faults. "Verified" means a generation is captured only when
+// the armed-register model is quiet — and capture reads memory through
+// the ECC plane, healing correctable decay on the way into the image —
+// so by induction every banked generation is clean.
 type tolDriver struct {
 	k        *kernel.Kernel
 	inj      *Injector
-	ring     []*kernel.Checkpoint
+	st       *persist.Store
+	sv       *persist.Saver
 	restores uint64
 	banked   uint64 // checkpoints captured
 	failed   bool   // rollback budget exhausted or restore error
 }
 
+// newTolDriver returns a driver for k with an empty checkpoint store.
+func newTolDriver(k *kernel.Kernel, inj *Injector) (*tolDriver, error) {
+	st, err := persist.OpenMemory(1)
+	if err != nil {
+		return nil, err
+	}
+	sv, err := persist.NewSaver(st, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &tolDriver{k: k, inj: inj, st: st, sv: sv}, nil
+}
+
 // maybeCheckpoint banks a generation if the current state verifies.
 func (d *tolDriver) maybeCheckpoint() {
 	if d.inj.Armed() {
-		return // latent register corruption: do not poison the ring
+		return // latent register corruption: do not poison the store
 	}
-	cp, err := d.k.Checkpoint()
-	if err != nil {
+	if _, err := d.sv.Capture(d.k, d.k.M.Cycle()); err != nil {
 		return // uncorrectable memory: keep the older generations
 	}
-	d.ring = append(d.ring, cp)
-	if len(d.ring) > tolCkptKeep {
-		d.ring = d.ring[len(d.ring)-tolCkptKeep:]
-	}
 	d.banked++
+	_ = d.st.Prune(tolCkptKeep) // a memory store removes only files its scan just listed
 }
 
 // restore rolls the kernel back to the newest banked generation and
@@ -67,10 +78,10 @@ func (d *tolDriver) maybeCheckpoint() {
 // plane, the integrity hook, the flight ring, and a disarmed injector
 // (the restored register file predates the corruption).
 func (d *tolDriver) restore() bool {
-	if len(d.ring) == 0 || d.restores >= tolMaxRestores {
+	if d.restores >= tolMaxRestores {
 		return false
 	}
-	k2, err := kernel.Restore(d.k.M.Config(), d.ring[len(d.ring)-1])
+	k2, _, _, err := persist.RestoreNewest(d.st, d.k.M.Config())
 	if err != nil {
 		return false
 	}

@@ -26,8 +26,25 @@ func TestBootAllocatesLittle(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n >= 1<<20 {
-		t.Errorf("kernel.New(MMachine()) allocates %d bytes, want under 1 MB", n)
+	if n >= 512<<10 {
+		t.Errorf("kernel.New(MMachine()) allocates %d bytes, want under 512 KB", n)
+	}
+}
+
+// The page table grows with the pages mapped: a first segment costs its
+// pages and their entries, not a table sized by the address space.
+func TestFirstSegmentAllocatesLittle(t *testing.T) {
+	n := bootBytes(func() {
+		k, err := New(machine.MMachine())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.AllocSegment(4096); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n >= 512<<10 {
+		t.Errorf("kernel.New(MMachine()) plus AllocSegment(4096) allocates %d bytes, want under 512 KB", n)
 	}
 }
 

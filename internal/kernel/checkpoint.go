@@ -1,9 +1,7 @@
 package kernel
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -14,8 +12,8 @@ import (
 // This file implements whole-system checkpoint/restore: the complete
 // architectural state — segment layout, resident and swapped pages
 // (tag bits included), and every thread's registers and instruction
-// pointer — serialized with encoding/gob and rebuilt into a fresh
-// kernel.
+// pointer — captured as a Checkpoint and rebuilt into a fresh kernel.
+// internal/persist is its one encoding.
 //
 // A guarded-pointer machine checkpoints unusually cleanly: protection
 // state IS the data. There are no protection tables, ASIDs or
@@ -30,7 +28,7 @@ import (
 // Checkpoint is the serializable system image. A base image (Delta
 // false) is self-contained; a delta image (incremental.go) holds only
 // the pages changed since its parent generation plus tombstones, and
-// can be consumed only through Materialize/RestoreChain.
+// can be consumed only through Materialize.
 type Checkpoint struct {
 	RegionBase uint64
 	RegionLog  uint
@@ -186,18 +184,4 @@ func Restore(cfg machine.Config, cp *Checkpoint) (*Kernel, error) {
 		}
 	}
 	return k, nil
-}
-
-// Encode writes the checkpoint with encoding/gob.
-func (cp *Checkpoint) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(cp)
-}
-
-// DecodeCheckpoint reads a checkpoint written by Encode.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, err
-	}
-	return &cp, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/machine"
 	"repro/internal/vm"
 	"repro/internal/word"
 )
@@ -257,14 +256,4 @@ func Materialize(chain []*Checkpoint) (*Checkpoint, error) {
 	}
 	sort.Slice(out.Swapped, func(i, j int) bool { return out.Swapped[i].VAddr < out.Swapped[j].VAddr })
 	return out, nil
-}
-
-// RestoreChain materializes a delta chain and restores the merged
-// image.
-func RestoreChain(cfg machine.Config, chain []*Checkpoint) (*Kernel, error) {
-	cp, err := Materialize(chain)
-	if err != nil {
-		return nil, err
-	}
-	return Restore(cfg, cp)
 }

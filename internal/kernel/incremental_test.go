@@ -90,7 +90,11 @@ func TestIncrementalChainDifferential(t *testing.T) {
 	cfg.PhysBytes = 4 << 20
 	cfg.TrapCost = 10
 	for g := 1; g <= len(chain); g++ {
-		k2, err := RestoreChain(cfg, chain[:g])
+		cp, err := Materialize(chain[:g])
+		if err != nil {
+			t.Fatalf("generation %d: %v", g, err)
+		}
+		k2, err := Restore(cfg, cp)
 		if err != nil {
 			t.Fatalf("generation %d: %v", g, err)
 		}

@@ -171,7 +171,6 @@ func (k *Kernel) pickVictim(protect uint64) (uint64, bool) {
 	if len(resident) == 0 {
 		return 0, false
 	}
-	sort.Slice(resident, func(i, j int) bool { return resident[i] < resident[j] })
 	// Advance the hand past its previous position.
 	i := sort.Search(len(resident), func(i int) bool { return resident[i] > k.clockHand })
 	for n := 0; n < len(resident); n++ {

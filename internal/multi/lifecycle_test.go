@@ -193,11 +193,16 @@ func TestRecoverAllIsAllOrNothing(t *testing.T) {
 	s.Run(50)
 	before := []*kernel.Kernel{s.Nodes[0].K, s.Nodes[1].K}
 	cycles := s.Nodes[0].K.M.Cycle()
-	// Node 1's image now names a frame past the end of its memory.
-	bad := *s.ckpts[len(s.ckpts)-1].cps[1]
-	bad.Resident = append([]kernel.PageImage(nil), bad.Resident...)
-	bad.Resident[0].Frame = s.cfg.Node.PhysBytes
-	s.ckpts[len(s.ckpts)-1].cps[1] = &bad
+	// Commit a newest generation whose node-1 image names a frame past
+	// the end of its memory: intact on the store, unrestorable.
+	cps, gen, cycle, err := s.Store().LoadNewestIntact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps[1].Resident[0].Frame = s.cfg.Node.PhysBytes
+	if err := s.Store().WriteGeneration(gen+1, gen, cycle, cps); err != nil {
+		t.Fatal(err)
+	}
 
 	if s.recoverAll() {
 		t.Fatal("recoverAll succeeded with an unrestorable image")

@@ -80,11 +80,14 @@ type Config struct {
 	// CheckpointEvery, when non-zero, takes a coordinated checkpoint of
 	// every node's kernel at each multiple of this many cycles — at the
 	// end of the cycle, after remote delivery, so the set is globally
-	// consistent. Generations are kept in a ring of the last
-	// CheckpointKeep. Checkpoints are skipped while any node is dead
-	// (the set would not be consistent).
+	// consistent. Each generation is committed to a checkpoint store
+	// (internal/persist) as dirty-page deltas against the previous one,
+	// with per-section checksums and a commit marker. Checkpoints are
+	// skipped while any node is dead (the set would not be consistent).
 	CheckpointEvery uint64
-	// CheckpointKeep is the checkpoint ring size; 0 means 2.
+	// CheckpointKeep is how many of the newest generations the store
+	// retains; 0 means 2. Delta chains pin their base images beyond the
+	// window.
 	CheckpointKeep int
 	// AutoRecover escalates the watchdog from detection to repair: when
 	// the cycle-deadline trips and a checkpoint generation exists, the
@@ -97,17 +100,15 @@ type Config struct {
 	// through the same checkpoint forever. 0 means 4.
 	MaxRestores int
 
-	// PersistDir, when non-empty, replaces the in-memory checkpoint ring
-	// with a durable on-disk store (internal/persist): each coordinated
-	// generation is written as incremental dirty-page deltas with
-	// per-section checksums and a commit marker, pruned to CheckpointKeep
-	// (delta chains pin their base images beyond the window), and
-	// auto-recovery restores from the newest generation on disk whose
+	// PersistDir, when non-empty, puts the checkpoint store in this
+	// directory, opened at boot so generation numbering resumes after a
+	// reboot; empty keeps it in memory, opened at the first capture.
+	// Either way auto-recovery restores from the newest generation whose
 	// whole chain verifies — a torn or bit-rotted newest generation
 	// falls back to an older intact one.
 	PersistDir string
-	// PersistBaseEvery bounds delta-chain length in the durable store: a
-	// fresh base image every Nth generation. 0 means
+	// PersistBaseEvery bounds delta-chain length in the checkpoint
+	// store: a fresh base image every Nth generation. 0 means
 	// persist.DefaultBaseEvery; 1 writes only base images.
 	PersistBaseEvery int
 
@@ -172,15 +173,14 @@ type System struct {
 	lastProgress      uint64 // instret+faults sum at the last progress check
 	lastProgressCycle uint64
 
-	// Auto-recovery state: the ring of coordinated checkpoint
-	// generations and the repair counters.
-	ckpts       []ckptGen
+	// Auto-recovery counters.
 	checkpoints uint64 // generations captured (recovery.checkpoints)
 	restores    uint64 // automatic recoveries performed (recovery.restores)
 
-	// Durable persistence state (Config.PersistDir): the on-disk store
-	// and the per-node incremental capture baselines. A nil entry in
-	// capStates forces the next generation to be a full base.
+	// Checkpoint state: the store (nil until the first capture unless
+	// Config.PersistDir opened it at boot) and the per-node incremental
+	// capture baselines. A nil entry in capStates forces the next
+	// generation to be a full base.
 	store      *persist.Store
 	capStates  []*kernel.CaptureState
 	persistGen uint64 // newest generation committed to the store
@@ -211,13 +211,6 @@ type System struct {
 type spanState struct {
 	tr   *telemetry.Tracer
 	next uint64
-}
-
-// ckptGen is one coordinated checkpoint generation: every node's kernel
-// image, captured at the end of the same cycle.
-type ckptGen struct {
-	cycle uint64
-	cps   []*kernel.Checkpoint
 }
 
 // Stats counts cross-node traffic.
@@ -277,9 +270,8 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.store = st
+		s.useStore(st)
 		s.persistGen = gen // numbering resumes after a reboot
-		s.capStates = make([]*kernel.CaptureState, net.Nodes())
 	}
 	if cfg.MigrateAt != 0 {
 		if cfg.MigrateNode < 0 || cfg.MigrateNode >= net.Nodes() {
@@ -290,9 +282,19 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Store returns the durable checkpoint store, or nil when the system
-// runs with the in-memory ring (Config.PersistDir empty).
+// Store returns the checkpoint store, or nil while a system without
+// Config.PersistDir has not yet captured a generation.
 func (s *System) Store() *persist.Store { return s.store }
+
+// useStore installs the checkpoint store and publishes its metrics if a
+// registry is already attached.
+func (s *System) useStore(st *persist.Store) {
+	s.store = st
+	s.capStates = make([]*kernel.CaptureState, len(s.Nodes))
+	if s.reg != nil {
+		st.RegisterMetrics(s.reg, "persist")
+	}
+}
 
 // Stats returns a copy of the cross-node counters.
 func (s *System) Stats() Stats { return s.stats }
@@ -383,55 +385,33 @@ func (s *System) checkpointKeep() int {
 	return 2
 }
 
-// checkpointAll captures one coordinated generation — every node's
-// kernel at the end of this cycle — into the ring. Skipped while any
-// node is dead: the set would not be globally consistent. Capture
-// reads memory through the ECC plane (kernel.Checkpoint goes through
-// mem.ReadWord), so latent single-bit errors are healed on the way into
-// the image and a generation is never poisoned by correctable decay.
+// checkpointAll commits one coordinated generation — every node's
+// kernel at the end of this cycle — to the checkpoint store, then prunes
+// the store to CheckpointKeep. Skipped while any node is dead: the set
+// would not be globally consistent. Capture reads memory through the
+// ECC plane (mem.ReadWords), so latent single-bit errors in the pages it
+// copies are healed on the way into the image.
+//
+// All nodes must capture the same kind, so the whole generation
+// re-bases when any node's baseline is missing or stale (first capture,
+// a Revive that swapped a kernel, a previous error) or the delta chain
+// reached PersistBaseEvery. On ANY error every baseline is dropped: the
+// failed generation never got a commit marker, so the next capture
+// starts a fresh base — dirty bits cleared by a failed capture are
+// swallowed by the full image, never lost.
 func (s *System) checkpointAll() {
 	for _, d := range s.dead {
 		if d {
 			return
 		}
 	}
-	if s.store != nil {
-		s.persistCheckpoint()
-		return
-	}
-	g := ckptGen{cycle: s.cycle, cps: make([]*kernel.Checkpoint, len(s.Nodes))}
-	for i, n := range s.Nodes {
-		cp, err := n.K.Checkpoint()
+	if s.store == nil {
+		st, err := persist.OpenMemory(len(s.Nodes))
 		if err != nil {
-			return // e.g. uncorrectable memory: keep the older generations
+			return
 		}
-		g.cps[i] = cp
+		s.useStore(st)
 	}
-	s.ckpts = append(s.ckpts, g)
-	if keep := s.checkpointKeep(); len(s.ckpts) > keep {
-		copy(s.ckpts, s.ckpts[len(s.ckpts)-keep:])
-		s.ckpts = s.ckpts[:keep]
-	}
-	s.checkpoints++
-}
-
-// persistBaseEvery resolves Config.PersistBaseEvery.
-func (s *System) persistBaseEvery() int {
-	if s.cfg.PersistBaseEvery > 0 {
-		return s.cfg.PersistBaseEvery
-	}
-	return persist.DefaultBaseEvery
-}
-
-// persistCheckpoint writes one coordinated generation to the durable
-// store. All nodes must capture the same kind, so the whole generation
-// re-bases when any node's baseline is missing or stale (first capture,
-// a Revive that swapped a kernel, a previous error) or the delta chain
-// reached PersistBaseEvery. On ANY error every baseline is dropped:
-// the failed generation never got a commit marker, so the next capture
-// starts a fresh base — dirty bits cleared by a failed capture are
-// swallowed by the full image, never lost.
-func (s *System) persistCheckpoint() {
 	full := s.sinceBase >= s.persistBaseEvery()-1
 	for i, n := range s.Nodes {
 		if !s.capStates[i].Matches(n.K) {
@@ -447,7 +427,7 @@ func (s *System) persistCheckpoint() {
 		}
 		cp, ncap, err := n.K.CheckpointIncremental(prev)
 		if err != nil {
-			s.resetCapStates()
+			s.resetCapStates() // e.g. uncorrectable memory: keep the older generations
 			return
 		}
 		cps[i] = cp
@@ -466,12 +446,19 @@ func (s *System) persistCheckpoint() {
 		s.sinceBase++
 	}
 	s.checkpoints++
-	// Prune at the same cycle end, like the in-memory ring: retention
-	// is part of the generation commit. Prune never removes a base a
-	// retained delta still replays from.
+	// Retention is part of the generation commit. Prune never removes a
+	// base a retained delta still replays from.
 	if err := s.store.Prune(s.checkpointKeep()); err != nil {
-		s.resetCapStates() // disk trouble: re-base defensively
+		s.resetCapStates() // store trouble: re-base defensively
 	}
+}
+
+// persistBaseEvery resolves Config.PersistBaseEvery.
+func (s *System) persistBaseEvery() int {
+	if s.cfg.PersistBaseEvery > 0 {
+		return s.cfg.PersistBaseEvery
+	}
+	return persist.DefaultBaseEvery
 }
 
 // resetCapStates drops every incremental baseline: the next generation
@@ -484,7 +471,7 @@ func (s *System) resetCapStates() {
 }
 
 // CheckpointNow captures a coordinated generation immediately — the
-// caller's chance to seed the ring after workload setup, before any
+// caller's chance to seed the store after workload setup, before any
 // periodic boundary. Fails if a node is dead or a capture errors.
 func (s *System) CheckpointNow() error {
 	for i, d := range s.dead {
@@ -513,25 +500,19 @@ func (s *System) recoverAll() bool {
 	if s.restores >= s.maxRestores() {
 		return false
 	}
-	var cps []*kernel.Checkpoint
-	if s.store != nil {
-		// Durable path: newest generation on disk whose whole delta
-		// chain verifies. A damaged newest generation is skipped (and
-		// counted) in favor of an older intact one.
-		loaded, _, _, err := s.store.LoadNewestIntact()
-		if err != nil {
-			return false
-		}
-		cps = loaded
-		// The restored kernels have fresh Spaces: every incremental
-		// baseline is stale, so the next generation re-bases.
-		s.resetCapStates()
-	} else {
-		if len(s.ckpts) == 0 {
-			return false
-		}
-		cps = s.ckpts[len(s.ckpts)-1].cps
+	if s.store == nil {
+		return false
 	}
+	// The newest generation whose whole delta chain verifies. A damaged
+	// newest generation is skipped (and counted) in favor of an older
+	// intact one.
+	cps, _, _, err := s.store.LoadNewestIntact()
+	if err != nil {
+		return false
+	}
+	// The restored kernels have fresh Spaces: every incremental baseline
+	// is stale, so the next generation re-bases.
+	s.resetCapStates()
 	// Rebuild every kernel before installing any: a node whose image
 	// fails to restore must not leave the others rewound to a cut the
 	// mesh never resumes from.

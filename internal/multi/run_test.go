@@ -398,8 +398,8 @@ func TestNewAllocatesLittle(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	boot()
 	runtime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 6<<20 {
-		t.Errorf("New(DefaultConfig()) allocates %d bytes, want under 6 MB", n)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<20 {
+		t.Errorf("New(DefaultConfig()) allocates %d bytes, want under 4 MB", n)
 	}
 	if n := after.Mallocs - before.Mallocs; n >= 1000 {
 		t.Errorf("New(DefaultConfig()) allocates %d objects, want under 1,000", n)

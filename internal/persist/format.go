@@ -1,6 +1,7 @@
-// Package persist is the durable side of checkpointing: a versioned,
-// checksummed, crash-safe on-disk store for incremental checkpoint
-// chains (kernel.CheckpointIncremental).
+// Package persist is the one encoding and the one store of
+// checkpoints: a versioned, checksummed, crash-safe store for
+// incremental checkpoint chains (kernel.CheckpointIncremental), in a
+// directory or in memory.
 //
 // Layout of one image file (all integers little-endian):
 //

@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/kernel"
@@ -15,17 +16,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Store is a directory of checkpoint generations. One generation is
-// one image file per node plus a commit marker ("genNNNNNNNN.ok")
-// written LAST: a crash or torn write anywhere in the set leaves no
-// marker (or a marker whose member CRCs disagree), and the generation
-// is simply not there. Every file lands via write-temp, fsync, rename.
+// Store is a directory of checkpoint generations, on disk (Open) or in
+// memory (OpenMemory). One generation is one image file per node plus a
+// commit marker ("genNNNNNNNN.ok") written LAST: a crash or torn write
+// anywhere in the set leaves no marker (or a marker whose member CRCs
+// disagree), and the generation is simply not there. Every file lands
+// via write-temp, fsync, rename.
 //
 // Restore resolves the newest generation whose whole delta chain —
 // back to its base image — is intact, skipping (and counting) corrupt
 // or torn generations on the way down.
 type Store struct {
-	dir   string
+	fs    fileSystem
+	where string // the directory, or "memory": for error messages
 	nodes int
 	stats Stats
 	hist  *telemetry.Histogram // capture latency, wall nanoseconds
@@ -50,11 +53,22 @@ func Open(dir string, nodes int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: open store: %w", err)
 	}
-	return &Store{dir: dir, nodes: nodes, hist: telemetry.NewHistogram()}, nil
+	return newStore(osFS(dir), dir, nodes), nil
 }
 
-// Dir returns the store's directory.
-func (st *Store) Dir() string { return st.dir }
+// OpenMemory opens an empty store held in memory for a system of the
+// given node count: the same files, markers, pruning and recovery as a
+// directory store, gone with the process.
+func OpenMemory(nodes int) (*Store, error) {
+	if nodes <= 0 {
+		return nil, fmt.Errorf("persist: store needs at least one node, got %d", nodes)
+	}
+	return newStore(memFS{}, "memory", nodes), nil
+}
+
+func newStore(fs fileSystem, where string, nodes int) *Store {
+	return &Store{fs: fs, where: where, nodes: nodes, hist: telemetry.NewHistogram()}
+}
 
 // Nodes returns the per-generation image count the store was opened
 // with.
@@ -87,37 +101,34 @@ func markerName(gen uint64) string {
 	return fmt.Sprintf("gen%08d.ok", gen)
 }
 
-// writeAtomic lands data at path via temp + fsync + rename, then syncs
-// the directory so the rename itself is durable.
+// markerGen parses a commit marker's name, genNNNNNNNN.ok, without
+// fmt: a scan parses every name in the store on every Prune.
+func markerGen(name string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(name, "gen")
+	if !ok {
+		return 0, false
+	}
+	digits, ok = strings.CutSuffix(digits, ".ok")
+	if !ok || len(digits) < 8 {
+		return 0, false
+	}
+	gen, err := strconv.ParseUint(digits, 10, 64)
+	return gen, err == nil
+}
+
+// writeAtomic lands data under name via temp + fsync + rename, then
+// syncs the directory so the rename itself is durable.
 func (st *Store) writeAtomic(name string, data []byte) error {
-	path := filepath.Join(st.dir, name)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	tmp := name + ".tmp"
+	if err := st.fs.writeFile(tmp, data); err != nil {
+		st.fs.remove(tmp)
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := st.fs.rename(tmp, name); err != nil {
+		st.fs.remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(st.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	_ = st.fs.syncDir() // best effort: not every file system can sync a directory
 	st.stats.BytesWritten += uint64(len(data))
 	return nil
 }
@@ -274,17 +285,17 @@ func (st *Store) WriteGeneration(gen, parent, cycle uint64, cps []*kernel.Checkp
 // decode are ignored here (the restore path counts them when it trips
 // over them).
 func (st *Store) scan() (map[uint64]*genInfo, error) {
-	ents, err := os.ReadDir(st.dir)
+	names, err := st.fs.readDir()
 	if err != nil {
 		return nil, fmt.Errorf("persist: scan store: %w", err)
 	}
 	gens := make(map[uint64]*genInfo)
-	for _, e := range ents {
-		var gen uint64
-		if _, err := fmt.Sscanf(e.Name(), "gen%d.ok", &gen); err != nil || filepath.Ext(e.Name()) != ".ok" {
+	for _, name := range names {
+		gen, ok := markerGen(name)
+		if !ok {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(st.dir, e.Name()))
+		data, err := st.fs.readFile(name)
 		if err != nil {
 			continue
 		}
@@ -353,7 +364,7 @@ func (st *Store) loadImages(g *genInfo) ([]*kernel.Checkpoint, error) {
 	}
 	cps := make([]*kernel.Checkpoint, st.nodes)
 	for i, m := range g.files {
-		data, err := os.ReadFile(filepath.Join(st.dir, m.name))
+		data, err := st.fs.readFile(m.name)
 		if err != nil {
 			return nil, formatErrf("generation %d member %s unreadable: %v", g.gen, m.name, err)
 		}
@@ -497,7 +508,7 @@ func (st *Store) LoadNewestIntact() ([]*kernel.Checkpoint, uint64, uint64, error
 		}
 		return cps, gn, gens[gn].cycle, nil
 	}
-	return nil, 0, 0, formatErrf("no intact generation in %s", st.dir)
+	return nil, 0, 0, formatErrf("no intact generation in %s", st.where)
 }
 
 // Prune removes generations beyond the newest keep, but NEVER a
@@ -539,11 +550,11 @@ func (st *Store) Prune(keep int) error {
 		}
 		// Marker first: a crash mid-removal leaves orphan image files
 		// (harmless, unreferenced), never a marker pointing at nothing.
-		if err := os.Remove(filepath.Join(st.dir, markerName(gn))); err != nil {
+		if err := st.fs.remove(markerName(gn)); err != nil {
 			return fmt.Errorf("persist: prune generation %d: %w", gn, err)
 		}
 		for _, m := range gens[gn].files {
-			os.Remove(filepath.Join(st.dir, m.name))
+			st.fs.remove(m.name)
 		}
 	}
 	return nil

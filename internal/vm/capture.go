@@ -21,41 +21,17 @@ import (
 // collection: observe and clear are one pass, never two.
 func (pt *PageTable) CollectDirty(clear bool) []uint64 {
 	var pages []uint64
-	pt.walkMut(func(page uint64, pte *PTE) {
+	pt.Walk(func(page uint64, pte PTE) bool {
 		if pte.Dirty {
 			pages = append(pages, page)
 			if clear {
 				pte.Dirty = false
+				pt.ptes[vpnOf(page)] = pte
 			}
 		}
+		return true
 	})
 	return pages
-}
-
-// walkMut visits every valid PTE by pointer, in ascending page order.
-func (pt *PageTable) walkMut(fn func(page uint64, pte *PTE)) {
-	pt.walkNodeMut(pt.root, 0, 0, fn)
-}
-
-func (pt *PageTable) walkNodeMut(n *ptNode, level int, prefix uint64, fn func(uint64, *PTE)) {
-	if n == nil {
-		return
-	}
-	if level == levels-1 {
-		for i := range n.ptes {
-			if n.ptes[i].Valid {
-				vpn := prefix<<levelBits | uint64(i)
-				fn(vpn<<PageShift, &n.ptes[i])
-			}
-		}
-		return
-	}
-	for i, child := range n.children {
-		if child == nil {
-			continue
-		}
-		pt.walkNodeMut(child, level+1, prefix<<levelBits|uint64(i), fn)
-	}
 }
 
 // DirtyPages returns every resident page dirtied since the last

@@ -1,8 +1,8 @@
 // Package vm implements the translation layer under guarded pointers:
 // one single 54-bit virtual address space shared by every process, a
-// radix page table mapping virtual pages to physical frames, and a TLB
-// model with the statistics the paper's comparisons turn on (hits,
-// misses, flushes, entry counts).
+// page table of the valid translations from virtual pages to physical
+// frames, and a TLB model with the statistics the paper's comparisons
+// turn on (hits, misses, flushes, entry counts).
 //
 // Because protection lives in the pointers, this layer does *no* access
 // checking at all — "only one level of address translation is required
@@ -12,7 +12,10 @@
 // Sec 5.1.
 package vm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Page geometry: 4KB pages over the 54-bit space, leaving a 42-bit
 // virtual page number.
@@ -23,23 +26,15 @@ const (
 
 	// VPNBits is the width of the virtual page number.
 	VPNBits = 54 - PageShift
-
-	// Radix tree geometry: 3 levels of 14 bits each cover the 42-bit
-	// VPN.
-	levelBits = 14
-	levels    = 3
-	fanout    = 1 << levelBits
-	levelMask = fanout - 1
 )
 
 // PTE is a page-table entry: the physical frame base address and
 // bookkeeping bits. Guarded-pointer PTEs carry no protection bits — the
 // pointer already said what is allowed.
 type PTE struct {
-	Frame      uint64 // physical base address of the frame
-	Valid      bool
-	Dirty      bool
-	Referenced bool
+	Frame uint64 // physical base address of the frame
+	Valid bool
+	Dirty bool
 }
 
 // PageFaultError reports a reference to an unmapped virtual page. The
@@ -54,123 +49,80 @@ func (e *PageFaultError) Error() string {
 	return fmt.Sprintf("vm: page fault at %#x", e.VAddr)
 }
 
-// PageTable is a three-level radix table over the 42-bit VPN space,
-// lazily populated. It is shared by all processes in a guarded-pointer
-// system ("all processes share a single virtual address space", Sec 2).
+// PageTable holds the valid translations of the 42-bit VPN space, and
+// nothing else: its cost follows the pages mapped, however sparsely they
+// sit. It is shared by all processes in a guarded-pointer system ("all
+// processes share a single virtual address space", Sec 2).
 type PageTable struct {
-	root    *ptNode
-	entries int
-	nodes   int
-}
-
-type ptNode struct {
-	children [fanout]*ptNode // inner levels
-	ptes     []PTE           // leaf level only
+	ptes map[uint64]PTE // VPN → translation; every entry is Valid
+	vpns []uint64       // the keys of ptes, ascending
 }
 
 // NewPageTable returns an empty page table.
 func NewPageTable() *PageTable {
-	return &PageTable{root: &ptNode{}, nodes: 1}
+	return &PageTable{ptes: make(map[uint64]PTE)}
 }
 
 // vpnOf extracts the virtual page number of a 54-bit address.
 func vpnOf(vaddr uint64) uint64 { return vaddr >> PageShift }
 
-// slots decomposes a VPN into per-level indices, most significant
-// first.
-func slots(vpn uint64) [levels]int {
-	var s [levels]int
-	for i := levels - 1; i >= 0; i-- {
-		s[i] = int(vpn & levelMask)
-		vpn >>= levelBits
-	}
-	return s
-}
-
 // Map installs a translation from the page containing vaddr to the
 // physical frame at frame (frame must be page aligned). Remapping an
-// existing page overwrites it.
+// existing page overwrites it, dirty bit included.
 func (pt *PageTable) Map(vaddr, frame uint64) error {
 	if frame&PageMask != 0 {
 		return fmt.Errorf("vm: frame %#x not page aligned", frame)
 	}
-	n := pt.root
-	s := slots(vpnOf(vaddr))
-	for i := 0; i < levels-1; i++ {
-		next := n.children[s[i]]
-		if next == nil {
-			next = &ptNode{}
-			if i == levels-2 {
-				next.ptes = make([]PTE, fanout)
-			}
-			n.children[s[i]] = next
-			pt.nodes++
-		}
-		n = next
+	vpn := vpnOf(vaddr)
+	if _, ok := pt.ptes[vpn]; !ok {
+		i, _ := slices.BinarySearch(pt.vpns, vpn)
+		pt.vpns = slices.Insert(pt.vpns, i, vpn)
 	}
-	pte := &n.ptes[s[levels-1]]
-	if !pte.Valid {
-		pt.entries++
-	}
-	*pte = PTE{Frame: frame, Valid: true}
+	pt.ptes[vpn] = PTE{Frame: frame, Valid: true}
 	return nil
 }
 
 // Unmap removes the translation for the page containing vaddr and
-// reports whether one existed. Interior nodes are retained (real
-// hardware tables do the same; reclaim is a separate sweep).
+// reports whether one existed.
 func (pt *PageTable) Unmap(vaddr uint64) bool {
-	pte := pt.lookup(vaddr)
-	if pte == nil || !pte.Valid {
+	vpn := vpnOf(vaddr)
+	if _, ok := pt.ptes[vpn]; !ok {
 		return false
 	}
-	*pte = PTE{}
-	pt.entries--
+	delete(pt.ptes, vpn)
+	i, _ := slices.BinarySearch(pt.vpns, vpn)
+	pt.vpns = slices.Delete(pt.vpns, i, i+1)
 	return true
 }
 
 // Lookup returns the PTE for the page containing vaddr. The second
-// result reports whether a valid translation exists. WalkLength
-// references (memory accesses a hardware walker would make) are always
-// exactly the number of levels.
+// result reports whether a valid translation exists.
 func (pt *PageTable) Lookup(vaddr uint64) (PTE, bool) {
-	pte := pt.lookup(vaddr)
-	if pte == nil || !pte.Valid {
-		return PTE{}, false
-	}
-	pte.Referenced = true
-	return *pte, true
+	pte, ok := pt.ptes[vpnOf(vaddr)]
+	return pte, ok
 }
 
 // SetDirty marks the page containing vaddr dirty (called on stores).
 func (pt *PageTable) SetDirty(vaddr uint64) {
-	if pte := pt.lookup(vaddr); pte != nil && pte.Valid {
+	vpn := vpnOf(vaddr)
+	if pte, ok := pt.ptes[vpn]; ok && !pte.Dirty {
 		pte.Dirty = true
+		pt.ptes[vpn] = pte
 	}
-}
-
-func (pt *PageTable) lookup(vaddr uint64) *PTE {
-	n := pt.root
-	s := slots(vpnOf(vaddr))
-	for i := 0; i < levels-1; i++ {
-		n = n.children[s[i]]
-		if n == nil {
-			return nil
-		}
-	}
-	return &n.ptes[s[levels-1]]
 }
 
 // Entries returns the number of valid translations.
-func (pt *PageTable) Entries() int { return pt.entries }
+func (pt *PageTable) Entries() int { return len(pt.vpns) }
 
-// WalkLength is the number of memory references a hardware walk costs.
-func (pt *PageTable) WalkLength() int { return levels }
-
-// ApproxBytes estimates the storage the table consumes, for the
-// table-overhead comparisons of experiment E7. Inner nodes cost one
-// word per slot actually used is hard to model; we charge the
-// conventional full-node cost.
-func (pt *PageTable) ApproxBytes() uint64 {
-	return uint64(pt.nodes) * fanout * 8
+// Walk visits every valid translation in ascending virtual-page order;
+// fn receives the page base address and its PTE. Returning false stops
+// the walk. Checkpoint images, the persist encoding and the benchmark
+// digests depend on the order. fn may set dirty bits but must not map
+// or unmap.
+func (pt *PageTable) Walk(fn func(page uint64, pte PTE) bool) {
+	for _, vpn := range pt.vpns {
+		if !fn(vpn<<PageShift, pt.ptes[vpn]) {
+			return
+		}
+	}
 }

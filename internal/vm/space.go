@@ -73,7 +73,7 @@ type tcEntry struct {
 	gen   uint64 // TLB generation the entry was filled under
 	ok    bool
 	// dirty records that PT.SetDirty already ran for this page under
-	// this gen; stores can then skip the radix walk. The PT never
+	// this gen; stores can then skip the page-table lookup. The PT never
 	// clears a dirty bit while the page stays mapped (only a re-Map
 	// after an unmap does, and unmapping bumps gen).
 	dirty bool
@@ -230,7 +230,7 @@ func (s *Space) UnmapRange(vaddr, size uint64) (int, error) {
 }
 
 // setDirtyFast marks the page containing vaddr dirty, skipping the
-// page-table radix walk when the micro-cache proves it already ran for
+// page-table lookup when the micro-cache proves it already ran for
 // this page: the PT never clears a dirty bit while a page stays mapped,
 // and any unmap/remap bumps the TLB generation the entry checks.
 func (s *Space) setDirtyFast(vaddr uint64) {

@@ -110,42 +110,10 @@ func (s *Space) DropSwapped(vaddr uint64) {
 	delete(s.swap, vaddr&^uint64(PageMask))
 }
 
-// Walk visits every valid translation in ascending virtual-page order
-// is NOT guaranteed; fn receives the page base address and its PTE.
-// Returning false stops the walk.
-func (pt *PageTable) Walk(fn func(page uint64, pte PTE) bool) {
-	pt.walkNode(pt.root, 0, 0, fn)
-}
-
-func (pt *PageTable) walkNode(n *ptNode, level int, prefix uint64, fn func(uint64, PTE) bool) bool {
-	if n == nil {
-		return true
-	}
-	if level == levels-1 {
-		for i := range n.ptes {
-			if n.ptes[i].Valid {
-				vpn := prefix<<levelBits | uint64(i)
-				if !fn(vpn<<PageShift, n.ptes[i]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for i, child := range n.children {
-		if child == nil {
-			continue
-		}
-		if !pt.walkNode(child, level+1, prefix<<levelBits|uint64(i), fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// ResidentPages returns the base addresses of all mapped pages.
+// ResidentPages returns the base addresses of all mapped pages,
+// ascending.
 func (s *Space) ResidentPages() []uint64 {
-	var pages []uint64
+	pages := make([]uint64, 0, s.PT.Entries())
 	s.PT.Walk(func(page uint64, _ PTE) bool {
 		pages = append(pages, page)
 		return true
@@ -186,16 +154,6 @@ func (s *Space) ZeroWords(lo, hi uint64) error {
 		}
 	}
 	return nil
-}
-
-// SwapContents returns a copy of the backing store (page base → words)
-// for checkpointing.
-func (s *Space) SwapContents() map[uint64][]word.Word {
-	out := make(map[uint64][]word.Word, len(s.swap))
-	for page, buf := range s.swap {
-		out[page] = append([]word.Word(nil), buf...)
-	}
-	return out
 }
 
 // RestoreSwapPage installs a page image directly into the backing
