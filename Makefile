@@ -2,11 +2,12 @@
 # vet, the full test suite, one run of every benchmark, the benchmark
 # module's golden-digest tests, and a race-detector pass over every
 # package with concurrency: the telemetry layer's lock-free fast paths,
-# the experiment worker pool, and the fault-injection campaign pool,
-# whose trials share each workload's assembled program (every trial
-# class runs in one of the four campaign determinism tests). The
-# multicomputer steps its nodes on one goroutine, so it has no race
-# pass.
+# the experiment worker pool, the fault-injection campaign pool, whose
+# trials share each workload's assembled program (every trial class
+# runs in one of the four campaign determinism tests), and the
+# translator's process-wide proof table (internal/jit), which engines
+# on several goroutines register through. The multicomputer steps its
+# nodes on one goroutine, so it has no race pass.
 
 GO ?= go
 
@@ -65,6 +66,7 @@ race:
 	$(GO) test -race -run 'TestParallelRender' ./internal/experiments/
 	$(GO) test -race -run 'TestCampaignDeterministic|TestTolerantCampaignDeterministic|TestMigrateCampaignDeterministic|TestPersistCampaignDeterministic' ./internal/faultinject/
 	$(GO) test -race -run 'TestJITDifferentialCorpus' .
+	$(GO) test -race -run 'TestRegisterConcurrent' ./internal/jit/
 
 # Compiled-tier differential gate (docs/PERFORMANCE.md): the E27
 # interp-vs-translator census, the root determinism corpus, the

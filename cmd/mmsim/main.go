@@ -360,6 +360,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "mmsim: migrate: standby boot:", err)
 				return 1
 			}
+			if *useJIT {
+				// The standby keeps the translator and the source's
+				// proofs for the code the image holds where it was loaded.
+				k2.M.EnableJIT(jit.DefaultConfig()).Inherit(k.M.JIT(), rep.Image.Holds)
+			}
 			mst, err := persist.Open(*migrateTo, 1)
 			if err != nil {
 				fmt.Fprintln(stderr, "mmsim:", err)

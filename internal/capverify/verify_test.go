@@ -1,10 +1,9 @@
 package capverify_test
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
+	"repro"
 	"repro/internal/asm"
 	"repro/internal/capverify"
 	"repro/internal/core"
@@ -38,48 +37,17 @@ func runProgram(t *testing.T, prog *asm.Program) *machine.Thread {
 	return th
 }
 
-// shippedPrograms assembles every program under programs/, linking
-// usemem.s against memlib.s the way cmd/mmld does.
+// shippedPrograms assembles every shipped program, keyed by name, with
+// usemem.s linked against memlib.s the way cmd/mmld does.
 func shippedPrograms(t testing.TB) map[string]*asm.Program {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join("..", "..", "programs", "*.s"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no shipped programs found: %v", err)
+	progs, err := repro.Programs()
+	if err != nil || len(progs) == 0 {
+		t.Fatalf("no shipped programs: %v", err)
 	}
-	read := func(f string) string {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(src)
-	}
-	out := make(map[string]*asm.Program)
-	for _, f := range files {
-		name := filepath.Base(f)
-		switch name {
-		case "memlib.s":
-			continue // a library; linked into usemem.s below
-		case "usemem.s":
-			m1, err := asm.AssembleModule("usemem", read(f))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			m2, err := asm.AssembleModule("memlib", read(filepath.Join("..", "..", "programs", "memlib.s")))
-			if err != nil {
-				t.Fatalf("memlib.s: %v", err)
-			}
-			prog, err := asm.Link(m1, m2)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			out[name] = prog
-		default:
-			prog, err := asm.AssembleNamed(name, read(f))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			out[name] = prog
-		}
+	out := make(map[string]*asm.Program, len(progs))
+	for _, p := range progs {
+		out[p.Name] = p.Prog
 	}
 	return out
 }
@@ -238,14 +206,7 @@ func TestBadProgramsDifferential(t *testing.T) {
 // TestFibDischarge pins the headline claim: on fib.s well over half of
 // the dynamic permission/bounds checks are statically discharged.
 func TestFibDischarge(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("..", "..", "programs", "fib.s"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := capverify.VerifySource("fib.s", string(src), capverify.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := capverify.Verify(shippedPrograms(t)["fib.s"], capverify.Config{})
 	if r := rep.DischargeRatio(); r < 0.5 {
 		t.Errorf("fib.s discharge ratio %.2f, want >= 0.5", r)
 	}

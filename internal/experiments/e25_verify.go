@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
+	"repro"
 	"repro/internal/asm"
 	"repro/internal/capverify"
 	"repro/internal/faultinject"
@@ -18,78 +17,12 @@ func init() {
 		runE25)
 }
 
-// repoRoot walks up from the working directory to the go.mod, so the
-// experiment finds programs/ no matter where the test binary runs.
-func repoRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("e25: no go.mod above the working directory")
-		}
-		dir = parent
-	}
-}
-
-// e25Program is one verified program: name plus assembled image.
-type e25Program struct {
-	name string
-	prog *asm.Program
-}
-
 // e25Corpus gathers every shipped program (usemem.s linked against
 // memlib.s, as it ships) and every fault-injection workload.
-func e25Corpus() ([]e25Program, error) {
-	root, err := repoRoot()
+func e25Corpus() ([]repro.Program, error) {
+	out, err := repro.Programs()
 	if err != nil {
-		return nil, err
-	}
-	dir := filepath.Join(root, "programs")
-	files, err := filepath.Glob(filepath.Join(dir, "*.s"))
-	if err != nil || len(files) == 0 {
-		return nil, fmt.Errorf("e25: no programs under %s: %v", dir, err)
-	}
-	var out []e25Program
-	for _, f := range files {
-		name := filepath.Base(f)
-		if name == "memlib.s" {
-			continue // linked into usemem.s below
-		}
-		src, err := os.ReadFile(f)
-		if err != nil {
-			return nil, err
-		}
-		var prog *asm.Program
-		if name == "usemem.s" {
-			lib, err := os.ReadFile(filepath.Join(dir, "memlib.s"))
-			if err != nil {
-				return nil, err
-			}
-			m1, err := asm.AssembleModule("usemem", string(src))
-			if err != nil {
-				return nil, fmt.Errorf("e25: %s: %v", name, err)
-			}
-			m2, err := asm.AssembleModule("memlib", string(lib))
-			if err != nil {
-				return nil, fmt.Errorf("e25: memlib.s: %v", err)
-			}
-			prog, err = asm.Link(m1, m2)
-			if err != nil {
-				return nil, fmt.Errorf("e25: %s: %v", name, err)
-			}
-		} else {
-			prog, err = asm.AssembleNamed(name, string(src))
-			if err != nil {
-				return nil, fmt.Errorf("e25: %s: %v", name, err)
-			}
-		}
-		out = append(out, e25Program{name: name, prog: prog})
+		return nil, fmt.Errorf("e25: %v", err)
 	}
 	workloads := faultinject.WorkloadSources()
 	names := make([]string, 0, len(workloads))
@@ -102,7 +35,7 @@ func e25Corpus() ([]e25Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("e25: workload %s: %v", n, err)
 		}
-		out = append(out, e25Program{name: "wl:" + n, prog: prog})
+		out = append(out, repro.Program{Name: "wl:" + n, Prog: prog})
 	}
 	return out, nil
 }
@@ -125,17 +58,17 @@ func runE25() (string, error) {
 	var fibRatio float64
 	fibSeen := false
 	for _, p := range corpus {
-		rep := capverify.Verify(p.prog, capverify.Config{})
+		rep := capverify.Verify(p.Prog, capverify.Config{})
 		if rep.HasFault() {
-			return "", fmt.Errorf("e25: %s provably faults: %s", p.name, rep.Faults()[0])
+			return "", fmt.Errorf("e25: %s provably faults: %s", p.Name, rep.Faults()[0])
 		}
 		if rep.Abyss {
-			return "", fmt.Errorf("e25: %s: unbounded indirect jump (abyss)", p.name)
+			return "", fmt.Errorf("e25: %s: unbounded indirect jump (abyss)", p.Name)
 		}
-		if p.name == "fib.s" {
+		if p.Name == "fib.s" {
 			fibRatio, fibSeen = rep.DischargeRatio(), true
 		}
-		tbl.AddRow(p.name, rep.Totals.Total(), rep.Totals.Safe, rep.Totals.Unknown,
+		tbl.AddRow(p.Name, rep.Totals.Total(), rep.Totals.Safe, rep.Totals.Unknown,
 			rep.Totals.Fault, fmt.Sprintf("%.0f%%", 100*rep.DischargeRatio()))
 	}
 	if !fibSeen {

@@ -95,29 +95,29 @@ func runE27() (string, error) {
 	anyCompiled := false
 	var elided, retained uint64
 	for _, p := range corpus {
-		interp, err := e27Run(p.prog, false)
+		interp, err := e27Run(p.Prog, false)
 		if err != nil {
-			return "", fmt.Errorf("e27: %s (interp): %v", p.name, err)
+			return "", fmt.Errorf("e27: %s (interp): %v", p.Name, err)
 		}
-		jitted, err := e27Run(p.prog, true)
+		jitted, err := e27Run(p.Prog, true)
 		if err != nil {
-			return "", fmt.Errorf("e27: %s (jit): %v", p.name, err)
+			return "", fmt.Errorf("e27: %s (jit): %v", p.Name, err)
 		}
 		if interp.fp != jitted.fp {
 			return "", fmt.Errorf("e27: %s: architectural fingerprint diverges: interp %#x jit %#x",
-				p.name, interp.fp, jitted.fp)
+				p.Name, interp.fp, jitted.fp)
 		}
 		if interp.stats != jitted.stats {
 			return "", fmt.Errorf("e27: %s: machine stats diverge:\ninterp %+v\njit    %+v",
-				p.name, interp.stats, jitted.stats)
+				p.Name, interp.stats, jitted.stats)
 		}
 		if !reflect.DeepEqual(interp.cache, jitted.cache) {
 			return "", fmt.Errorf("e27: %s: cache stats diverge:\ninterp %+v\njit    %+v",
-				p.name, interp.cache, jitted.cache)
+				p.Name, interp.cache, jitted.cache)
 		}
 		if interp.tlb != jitted.tlb || interp.space != jitted.space {
 			return "", fmt.Errorf("e27: %s: vm stats diverge:\ninterp %+v %+v\njit    %+v %+v",
-				p.name, interp.tlb, interp.space, jitted.tlb, jitted.space)
+				p.Name, interp.tlb, interp.space, jitted.tlb, jitted.space)
 		}
 		c := jitted.counters
 		if c.Compiled > 0 {
@@ -129,7 +129,7 @@ func runE27() (string, error) {
 		if c.ElidedSites+c.RetainedSites > 0 {
 			pct = fmt.Sprintf("%.0f%%", 100*float64(c.ElidedSites)/float64(c.ElidedSites+c.RetainedSites))
 		}
-		tbl.AddRow(p.name, c.Compiled, c.Entries, c.ElidedSites, c.RetainedSites, pct, "yes")
+		tbl.AddRow(p.Name, c.Compiled, c.Entries, c.ElidedSites, c.RetainedSites, pct, "yes")
 	}
 	if !anyCompiled {
 		return "", fmt.Errorf("e27: no corpus program compiled a single block; the gate is vacuous")

@@ -100,30 +100,30 @@ func runE30() (string, error) {
 		"program", "sites", "reg-only safe", "flow safe", "gained", "discharged")
 
 	for _, p := range corpus {
-		full := capverify.Verify(p.prog, capverify.Config{})
-		reg := capverify.Verify(p.prog, capverify.Config{RegistersOnly: true})
+		full := capverify.Verify(p.Prog, capverify.Config{})
+		reg := capverify.Verify(p.Prog, capverify.Config{RegistersOnly: true})
 		if full.HasFault() {
-			return "", fmt.Errorf("e30: %s provably faults: %s", p.name, full.Faults()[0])
+			return "", fmt.Errorf("e30: %s provably faults: %s", p.Name, full.Faults()[0])
 		}
 		if full.Abyss {
-			return "", fmt.Errorf("e30: %s: unbounded indirect jump (abyss)", p.name)
+			return "", fmt.Errorf("e30: %s: unbounded indirect jump (abyss)", p.Name)
 		}
 		if len(full.Leaks) != 0 {
-			return "", fmt.Errorf("e30: %s: unexpected confinement leak: %s", p.name, full.Leaks[0])
+			return "", fmt.Errorf("e30: %s: unexpected confinement leak: %s", p.Name, full.Leaks[0])
 		}
 		if full.Totals.Safe < reg.Totals.Safe {
 			return "", fmt.Errorf("e30: %s: flow analysis lost precision (%d safe vs %d register-only)",
-				p.name, full.Totals.Safe, reg.Totals.Safe)
+				p.Name, full.Totals.Safe, reg.Totals.Safe)
 		}
-		shipped := !strings.HasPrefix(p.name, "wl:")
+		shipped := !strings.HasPrefix(p.Name, "wl:")
 		if shipped && full.DischargeRatio() < 0.90 {
 			return "", fmt.Errorf("e30: %s discharge ratio %.2f, want >= 0.90",
-				p.name, full.DischargeRatio())
+				p.Name, full.DischargeRatio())
 		}
-		if err := e30Run(p.prog); err != nil {
-			return "", fmt.Errorf("e30: %s: %v", p.name, err)
+		if err := e30Run(p.Prog); err != nil {
+			return "", fmt.Errorf("e30: %s: %v", p.Name, err)
 		}
-		tbl.AddRow(p.name, full.Totals.Total(), reg.Totals.Safe, full.Totals.Safe,
+		tbl.AddRow(p.Name, full.Totals.Total(), reg.Totals.Safe, full.Totals.Safe,
 			full.Totals.Safe-reg.Totals.Safe,
 			fmt.Sprintf("%.0f%%", 100*full.DischargeRatio()))
 	}

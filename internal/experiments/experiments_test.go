@@ -506,6 +506,32 @@ func TestE25StaticDischarge(t *testing.T) {
 	}
 }
 
+// TestCorpusAnyDirectory: the corpus E25, E27 and E30 share is built
+// into the binary, so it assembles from a working directory with no
+// repository above it.
+func TestCorpusAnyDirectory(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	corpus, err := e25Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, p := range corpus {
+		names = append(names, p.Name)
+	}
+	want := "crosscheck.s fib.s sieve.s usemem.s wl:alu-mix wl:byte-ops wl:derive wl:ptr-chase wl:sweep-sum"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("corpus %q, want %q", got, want)
+	}
+}
+
 func TestE28PersistentCheckpoints(t *testing.T) {
 	out := runOne(t, "E28", "Delta-chain differential", "Fault-tolerance audit",
 		"Tolerance-stack repair work", "Outcome mechanisms", "Capture cost",

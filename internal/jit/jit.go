@@ -25,15 +25,28 @@
 // registered region invalidates every compiled block and permanently
 // disables the translator (Space.OnWrite fan-out); unmapping a region
 // drops it. Self-modifying programs simply run interpreted.
+//
+// A proof is a pure function of the program's words and the verifier
+// Config, so the process verifies each program once: a table of proofs
+// shared by every engine serves each later registration, on any engine
+// and at any base. The fresh engine of a machine rebuilt from a
+// checkpoint or a migration image takes its predecessor's proofs over
+// (Engine.Inherit). The model is proof-carrying code (Necula, POPL'97):
+// the proof travels with the code it is about.
 package jit
 
 import (
+	"runtime"
+	"slices"
+	"sync"
 	"time"
+	"weak"
 
 	"repro/internal/asm"
 	"repro/internal/capverify"
 	"repro/internal/isa"
 	"repro/internal/telemetry"
+	"repro/internal/word"
 )
 
 // Step is one compiled instruction. Addr is its fetch address — the
@@ -63,8 +76,8 @@ type Block struct {
 	Retained int
 }
 
-// region is one registered program: its analyzed image and report, at
-// its load address.
+// region is one registered program: its analyzed image and site table,
+// shared with every region over the same proof, at its load address.
 type region struct {
 	base   uint64
 	size   uint64 // code segment bytes (2^CodeLog)
@@ -168,6 +181,11 @@ func (e *Engine) Dead() bool { return e.dead }
 // kernel.LoadProgram returned); cfg must describe the environment the
 // program actually runs under.
 //
+// The program is verified once per process: a registration finds its
+// proof in a table shared by every engine and verifies only when the
+// table holds no proof of prog's current words under cfg. Each
+// registration still gets its own region, with no blocks.
+//
 // Soundness contract: capverify's verdicts assume the program starts at
 // its first word with r1 holding a read/write pointer to a segment of
 // at least cfg.DataBytes bytes and every other register empty. Callers
@@ -178,8 +196,30 @@ func (e *Engine) Register(prog *asm.Program, base uint64, cfg capverify.Config) 
 	if e.dead {
 		return
 	}
-	img := capverify.NewImage(prog, cfg)
-	rep := capverify.Verify(prog, cfg)
+	p := proofOf(prog, cfg)
+	e.add(base, p.img, p.rep.Sites(base))
+}
+
+// Inherit takes over from's regions whose code holds says is still in
+// place: the same base, the shared image and site table, and no
+// blocks, so a restored or migrated machine's fresh engine compiles
+// again without verifying. holds reports whether the restored image
+// has words at base; an image taken before the load, or a foreign
+// kernel's, fails it and the region stays behind. A dead engine has
+// dropped its regions and hands over nothing.
+func (e *Engine) Inherit(from *Engine, holds func(base uint64, words []word.Word) bool) {
+	if e.dead || from == nil {
+		return
+	}
+	for _, r := range from.regions {
+		if holds(r.base, r.img.Words) {
+			e.add(r.base, r.img, r.sites)
+		}
+	}
+}
+
+// add installs a region over the code at base.
+func (e *Engine) add(base uint64, img *capverify.Image, sites *capverify.SiteTable) {
 	size := uint64(img.SegWords()) * 8
 	// A reload over a stale registration replaces it.
 	e.InvalidateUnmap(base, size)
@@ -187,9 +227,48 @@ func (e *Engine) Register(prog *asm.Program, base uint64, cfg capverify.Config) 
 		base:  base,
 		size:  size,
 		img:   img,
-		sites: rep.Sites(base),
+		sites: sites,
 		dirty: make([]bool, img.SegWords()),
 	})
+}
+
+// proofKey names a program's proof under one verifier Config. The
+// program is held weakly, so the table never keeps one alive.
+type proofKey struct {
+	prog weak.Pointer[asm.Program]
+	cfg  capverify.Config
+}
+
+// proof is a program's analyzed image and verifier report, which every
+// engine registering the program shares read-only.
+type proof struct {
+	img *capverify.Image
+	rep *capverify.Report
+}
+
+// proofs is the process-wide proof table, proofKey to *proof. Engines on
+// any goroutine register through it (the experiment worker pool runs
+// machines on several), and a cleanup on each program deletes its entry
+// once the program is unreachable.
+var proofs sync.Map
+
+// proofOf returns prog's proof under cfg, verifying only when the table
+// has none or prog's words changed since it was verified. Site verdicts
+// depend only on the words and cfg (capverify reads Labels and Origins
+// for diagnostic text alone), so a proof found in the table compiles
+// the same blocks a fresh one would.
+func proofOf(prog *asm.Program, cfg capverify.Config) *proof {
+	key := proofKey{weak.Make(prog), cfg}
+	if v, ok := proofs.Load(key); ok {
+		if p := v.(*proof); slices.Equal(p.img.Words[:p.img.ProgWords], prog.Words) {
+			return p
+		}
+	}
+	p := &proof{img: capverify.NewImage(prog, cfg), rep: capverify.Verify(prog, cfg)}
+	if _, replaced := proofs.Swap(key, p); !replaced {
+		runtime.AddCleanup(prog, func(k proofKey) { proofs.Delete(k) }, key)
+	}
+	return p
 }
 
 // Regions returns how many programs are currently registered.

@@ -1,11 +1,19 @@
 package jit
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
+	"weak"
 
 	"repro/internal/asm"
 	"repro/internal/capverify"
 	"repro/internal/isa"
+	"repro/internal/word"
 )
 
 // vcfg is the verifier environment every test program runs under: r1
@@ -211,12 +219,19 @@ const (
 func compile(t *testing.T, e *Engine, base uint64) *Block {
 	t.Helper()
 	register(t, e, hotLoop, base)
+	return heat(t, e, base)
+}
+
+// heat notes Threshold taken branches to head and returns the block
+// compiled there.
+func heat(t *testing.T, e *Engine, head uint64) *Block {
+	t.Helper()
 	for i := 0; i < e.cfg.Threshold; i++ {
-		e.NoteBranch(base)
+		e.NoteBranch(head)
 	}
-	blk := e.BlockAt(base)
+	blk := e.BlockAt(head)
 	if blk == nil {
-		t.Fatalf("no block at %#x after %d taken branches", base, e.cfg.Threshold)
+		t.Fatalf("no block at %#x after %d taken branches", head, e.cfg.Threshold)
 	}
 	return blk
 }
@@ -266,4 +281,207 @@ func TestInvalidateUnmapDropsOverlapping(t *testing.T) {
 	if e.Regions() != 2 || !a.Valid || !c.Valid {
 		t.Error("an unmap touching no region dropped one")
 	}
+}
+
+// regionAllocs bounds what a registration that finds its proof in the
+// table allocates: its region, site table view and dirty bits.
+const regionAllocs = 3
+
+// loopProg loads r5 from memory and then loops at word 1 over a load
+// the verifier proves in bounds of a 4 KB data segment. loopProgAny is
+// the same loop loading through r5, which may not be a pointer.
+const (
+	loopProg    = "ld r5, r1, 0\ntop: ld r2, r1, 64\naddi r3, r3, 1\nbr top"
+	loopProgAny = "ld r5, r1, 0\ntop: ld r2, r5, 64\naddi r3, r3, 1\nbr top"
+	loopHead    = 8 // top's offset from the load address
+)
+
+// sameSites fails unless got and want give every word of a size-byte
+// segment at base the same checks and verdicts.
+func sameSites(t *testing.T, got, want *capverify.SiteTable, base, size uint64) {
+	t.Helper()
+	if got.Base() != base {
+		t.Fatalf("site table keyed at %#x, want %#x", got.Base(), base)
+	}
+	for a := base; a < base+size; a += 8 {
+		if g, w := got.Checks(a), want.Checks(a); !reflect.DeepEqual(g, w) {
+			t.Fatalf("checks at %#x: %v, want %v", a, g, w)
+		}
+	}
+}
+
+// TestRegisterReusesProof: registering a program again under the same
+// Config, on a fresh engine at another base, verifies nothing. It
+// allocates only its region, and its site table is the one a fresh
+// verification keys at that base.
+func TestRegisterReusesProof(t *testing.T) {
+	prog := mustAssemble(t, loopProg)
+	New(Config{}).Register(prog, baseA, vcfg)
+	e := New(Config{})
+	if a := testing.AllocsPerRun(20, func() { e.Register(prog, baseB, vcfg) }); a > regionAllocs {
+		t.Errorf("a second registration allocates %v times, want at most %d", a, regionAllocs)
+	}
+	if e.Regions() != 1 {
+		t.Fatalf("%d regions, want 1", e.Regions())
+	}
+	r := e.regions[0]
+	sameSites(t, r.sites, capverify.Verify(prog, vcfg).Sites(baseB), baseB, r.size)
+	if !heat(t, e, baseB+loopHead).Steps[0].Proven {
+		t.Error("the load is not proven at the second base")
+	}
+}
+
+// TestRegisterReverifiesChangedWords: a program whose words change after
+// its first registration gets a proof of its new words, and the blocks
+// compiled from it follow the new verdicts.
+func TestRegisterReverifiesChangedWords(t *testing.T) {
+	prog, other := mustAssemble(t, loopProg), mustAssemble(t, loopProgAny)
+	e := New(Config{})
+	e.Register(prog, baseA, vcfg)
+	if !heat(t, e, baseA+loopHead).Steps[0].Proven {
+		t.Fatal("the load through r1 is not proven")
+	}
+	copy(prog.Words, other.Words)
+	e = New(Config{})
+	e.Register(prog, baseA, vcfg)
+	if heat(t, e, baseA+loopHead).Steps[0].Proven {
+		t.Error("the load through r5 runs proven: the old proof was reused")
+	}
+	sameSites(t, e.regions[0].sites, capverify.Verify(other, vcfg).Sites(baseA), baseA, e.regions[0].size)
+}
+
+// TestRegisterProofPerConfig: the same program under another DataBytes
+// gets its own proof. A load at offset 64 is in bounds of 4 KB of data
+// and past the end of 64 B.
+func TestRegisterProofPerConfig(t *testing.T) {
+	prog := mustAssemble(t, loopProg)
+	small := capverify.Config{DataBytes: 64}
+	big, tiny := New(Config{}), New(Config{})
+	big.Register(prog, baseA, vcfg)
+	tiny.Register(prog, baseA, small)
+	at := uint64(baseA + loopHead)
+	if !allSafe(big.regions[0].sites.Checks(at)) || allSafe(tiny.regions[0].sites.Checks(at)) {
+		t.Error("the load must be safe in 4 KB of data and not in 64 B")
+	}
+	if proofOf(prog, vcfg) == proofOf(prog, small) {
+		t.Error("two Configs share one proof")
+	}
+}
+
+// TestProofLeavesWithProgram: once a program is unreachable, its entry
+// leaves the table; the table never keeps a program alive.
+func TestProofLeavesWithProgram(t *testing.T) {
+	key := func() proofKey {
+		prog := mustAssemble(t, loopProg)
+		New(Config{}).Register(prog, baseA, vcfg)
+		key := proofKey{weak.Make(prog), vcfg}
+		if _, ok := proofs.Load(key); !ok {
+			t.Fatal("registration left no entry")
+		}
+		return key
+	}()
+	for i := 0; i < 100; i++ {
+		if _, ok := proofs.Load(key); !ok {
+			return
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("the entry outlived its program through 100 collections")
+}
+
+// TestRegisterConcurrent registers one program on eight engines from
+// eight goroutines (make race runs it under the race detector). Every
+// engine ends with the verdicts of a fresh verification, and the table
+// with one entry that is one of theirs.
+func TestRegisterConcurrent(t *testing.T) {
+	prog := mustAssemble(t, loopProg)
+	engines := make([]*Engine, 8)
+	var wg sync.WaitGroup
+	for i := range engines {
+		engines[i] = New(Config{})
+		wg.Add(1)
+		go func(e *Engine, base uint64) {
+			defer wg.Done()
+			e.Register(prog, base, vcfg)
+		}(engines[i], baseA+uint64(i)*0x100)
+	}
+	wg.Wait()
+	rep := capverify.Verify(prog, vcfg)
+	v, ok := proofs.Load(proofKey{weak.Make(prog), vcfg})
+	if !ok {
+		t.Fatal("no entry after the registrations")
+	}
+	shared := false
+	for i, e := range engines {
+		base := baseA + uint64(i)*0x100
+		r := e.regions[0]
+		sameSites(t, r.sites, rep.Sites(base), base, r.size)
+		shared = shared || r.img == v.(*proof).img
+	}
+	if !shared {
+		t.Error("the table's proof is no engine's")
+	}
+}
+
+// TestInheritTakesOverHeldRegions: a fresh engine takes over exactly
+// the regions whose words holds confirms, sharing their proofs but no
+// blocks, and a dead engine hands over nothing.
+func TestInheritTakesOverHeldRegions(t *testing.T) {
+	from := New(Config{})
+	compile(t, from, baseA)
+	compile(t, from, baseB)
+	e := New(Config{})
+	e.Inherit(from, func(base uint64, words []word.Word) bool {
+		return base == baseB && len(words) == from.regions[1].img.SegWords()
+	})
+	if e.Regions() != 1 || e.regions[0].base != baseB || e.regions[0].sites != from.regions[1].sites {
+		t.Fatalf("inherited %d regions, want the one at %#x with its site table", e.Regions(), uint64(baseB))
+	}
+	if e.BlockAt(baseB) != nil || len(e.regions[0].blocks) != 0 {
+		t.Error("a block came over with the region")
+	}
+	heat(t, e, baseB)
+	from.InvalidateWrite(baseA)
+	dead := New(Config{})
+	dead.Inherit(from, func(uint64, []word.Word) bool { return true })
+	if dead.Regions() != 0 {
+		t.Error("a dead engine handed over regions")
+	}
+}
+
+// BenchmarkRegister times Engine.Register on the 128-word mesh8 program
+// in capverify's testdata. first registers a fresh copy of the program
+// on every op, so every op verifies. again registers one program over
+// and over, so every op after the first finds its proof in the table; it
+// fails if such an op allocates more than its region.
+func BenchmarkRegister(b *testing.B) {
+	src, err := os.ReadFile(filepath.Join("..", "capverify", "testdata", "mesh8_128w.s"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := asm.AssembleNamed("mesh8_128w.s", string(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("first", func(b *testing.B) {
+		e := New(Config{})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			clone := *prog
+			e.Register(&clone, baseA, vcfg)
+		}
+	})
+	b.Run("again", func(b *testing.B) {
+		e := New(Config{})
+		e.Register(prog, baseA, vcfg)
+		if a := testing.AllocsPerRun(100, func() { e.Register(prog, baseA, vcfg) }); a > regionAllocs {
+			b.Fatalf("allocates %v times per registration, want at most %d", a, regionAllocs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Register(prog, baseA, vcfg)
+		}
+	})
 }

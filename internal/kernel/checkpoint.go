@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -114,6 +115,41 @@ func (k *Kernel) Checkpoint() (*Checkpoint, error) {
 		})
 	}
 	return cp, nil
+}
+
+// Holds reports whether the image has words at vaddr onward, in pages
+// it holds resident or swapped. It reads the image alone, so asking
+// bumps no machine counter. A delta image holds only its changed pages
+// and answers false for the rest.
+func (cp *Checkpoint) Holds(vaddr uint64, words []word.Word) bool {
+	for len(words) > 0 {
+		page := vaddr &^ uint64(vm.PageMask)
+		img := cp.page(page)
+		if img == nil {
+			return false
+		}
+		off := int(vaddr-page) / word.BytesPerWord
+		n := min(len(words), len(img.Words)-off)
+		if n <= 0 || !slices.Equal(img.Words[off:off+n], words[:n]) {
+			return false
+		}
+		vaddr += uint64(n) * word.BytesPerWord
+		words = words[n:]
+	}
+	return true
+}
+
+// page returns the image of the page at vaddr, resident or swapped, or
+// nil.
+func (cp *Checkpoint) page(vaddr uint64) *PageImage {
+	for _, list := range [][]PageImage{cp.Resident, cp.Swapped} {
+		for i := range list {
+			if list[i].VAddr == vaddr {
+				return &list[i]
+			}
+		}
+	}
+	return nil
 }
 
 // Restore rebuilds a kernel+machine from a checkpoint under the given

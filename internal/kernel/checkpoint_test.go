@@ -219,3 +219,42 @@ func TestRestoreRejectsCorruptImages(t *testing.T) {
 		t.Error("overlapping segment image accepted")
 	}
 }
+
+// TestCheckpointHolds: an image holds a loaded program's words at its
+// load address, whether the page is resident or swapped out, and
+// nowhere else; an image taken before the load holds none of them.
+func TestCheckpointHolds(t *testing.T) {
+	k := pagingKernel(t, 16)
+	before, err := k.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := mustAssemble("ldi r3, 3\nloop: subi r3, r3, 1\nbnez r3, loop\nhalt")
+	ip, err := k.LoadProgram(prog, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ip.Addr()
+	changed := append([]word.Word(nil), prog.Words...)
+	changed[1] = word.FromInt(1)
+	for _, swapped := range []bool{false, true} {
+		if swapped {
+			if err := k.M.Space.SwapOut(base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cp, err := k.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cp.Holds(base, prog.Words) || !cp.Holds(base+8, prog.Words[1:]) {
+			t.Errorf("swapped=%v: the image does not hold the program at its load address", swapped)
+		}
+		if cp.Holds(base+8, prog.Words) || cp.Holds(base, changed) {
+			t.Errorf("swapped=%v: the image holds words that are not there", swapped)
+		}
+	}
+	if before.Holds(base, prog.Words) {
+		t.Error("an image taken before the load holds the program")
+	}
+}

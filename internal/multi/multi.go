@@ -67,7 +67,9 @@ type Config struct {
 	// the interpreter. Off by default: the fault-injection campaigns
 	// corrupt state under the verifier's feet, so they keep the
 	// interpreter. Callers load programs through Node.K and then
-	// register them with k.M.JITRegister.
+	// register them with k.M.JITRegister. A node restored by
+	// auto-recovery or replaced by a migration keeps every registration
+	// whose code the restored image holds at the same address.
 	JIT bool
 	// WatchdogCycles, when non-zero, arms a cycle-deadline watchdog:
 	// if that many cycles elapse with no node retiring an instruction
@@ -154,7 +156,8 @@ type System struct {
 	// OnRestore, when non-nil, runs after auto-recovery rewires each
 	// restored node, before execution resumes — the hook for per-node
 	// environment the checkpoint image does not capture (ECC planes,
-	// integrity hooks, tracers).
+	// integrity hooks, tracers). Translator registrations need no hook:
+	// the restored node keeps those whose code its image holds.
 	OnRestore func(id int, k *kernel.Kernel)
 
 	// OnFlightDump, when non-nil, fires when the system crosses an
@@ -525,7 +528,7 @@ func (s *System) recoverAll() bool {
 		ks[i] = k
 	}
 	for i, k := range ks {
-		s.installKernel(i, k)
+		s.installKernel(i, k, cps[i])
 		if s.OnRestore != nil {
 			s.OnRestore(i, k)
 		}
@@ -545,19 +548,25 @@ func (s *System) recoverAll() bool {
 }
 
 // installKernel rewires node id around kernel k exactly as New wired
-// the original, clearing kill/stall status. Internal: the public Revive
-// enforces the liveness contract on top.
-func (s *System) installKernel(id int, k *kernel.Kernel) {
+// the original, clearing kill/stall status. cp is the image k was
+// restored from, or nil for a caller's kernel. Internal: the public
+// Revive enforces the liveness contract on top.
+func (s *System) installKernel(id int, k *kernel.Kernel, cp *kernel.Checkpoint) {
 	n := s.Nodes[id]
+	old := n.K.M.JIT()
 	n.K = k
 	k.M.Remote = n
 	k.M.DeferRemote = true
 	if s.cfg.JIT {
-		// Fresh engine: compiled blocks describe code the restored image
-		// may not contain, and the kernel re-registers nothing — the
-		// translator rewarms from interpreter heat. OnRestore may call
-		// JITRegister to resupply verifier proofs.
-		k.M.EnableJIT(jit.DefaultConfig())
+		// A fresh engine, with no blocks: they describe code the restored
+		// image may not contain. It takes over the old engine's
+		// registrations whose code cp holds at the same address, so the
+		// node compiles again from interpreter heat without verifying. A
+		// caller's kernel (no cp) inherits nothing: the caller registers.
+		e := k.M.EnableJIT(jit.DefaultConfig())
+		if cp != nil {
+			e.Inherit(old, cp.Holds)
+		}
 	}
 	s.dead[id] = false
 	s.stallUntil[id] = 0
@@ -655,7 +664,7 @@ func (s *System) MigrateNode(id int, mcfg migrate.Config) (*migrate.Report, erro
 		rep.Reason = "restore-failed"
 		return rep, err
 	}
-	s.installKernel(id, k2)
+	s.installKernel(id, k2, rep.Image)
 	return rep, nil
 }
 
@@ -886,7 +895,7 @@ func (s *System) Revive(id int, k *kernel.Kernel) error {
 		return fmt.Errorf("%w: revive of live node %d", ErrNodeAlive, id)
 	}
 	if k != nil {
-		s.installKernel(id, k)
+		s.installKernel(id, k, nil)
 	} else {
 		s.dead[id] = false
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/capverify"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/migrate"
 	"repro/internal/noc"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
@@ -48,6 +49,9 @@ type crossNodeCase struct {
 	tolerant bool // reliable transport over a lossy fabric, CheckpointEvery, WatchdogCycles
 	spans    bool // causal spans on
 	kill     bool // node 3 killed before the run: node 2 hangs on it
+
+	migrateAt uint64 // node 0 live-migrates at this cycle
+	killAt    uint64 // node 3 killed at this cycle, under AutoRecover
 }
 
 // crossNode is one booted cross-node workload.
@@ -75,6 +79,20 @@ func newCrossNode(t *testing.T, c crossNodeCase) *crossNode {
 		cfg.Mesh.Transport.Enabled = true
 		cfg.CheckpointEvery = 500
 		cfg.WatchdogCycles = 2000
+	}
+	if c.migrateAt != 0 {
+		cfg.MigrateAt = c.migrateAt
+		cfg.Migrate = migrate.Config{Link: fastLink()}
+	}
+	if c.killAt != 0 {
+		cfg.CheckpointEvery = 500
+		cfg.AutoRecover = true
+		// Restored machines restart their clocks at zero while the
+		// mesh's links stay reserved up to the cycle of the restore, so a
+		// restored node's first remote accesses wait out that gap. The
+		// window must outlast it, or every restore trips the watchdog
+		// again.
+		cfg.WatchdogCycles = 100_000
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -119,6 +137,16 @@ func newCrossNode(t *testing.T, c crossNodeCase) *crossNode {
 	if c.kill {
 		if err := s.Kill(3); err != nil {
 			t.Fatal(err)
+		}
+	}
+	if c.killAt != 0 {
+		s.OnCycle = func(cycle uint64) {
+			if cycle == c.killAt {
+				s.OnCycle = nil
+				if err := s.Kill(3); err != nil {
+					t.Error(err)
+				}
+			}
 		}
 	}
 	return x

@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -26,58 +24,13 @@ import (
 // machine statistics, cache statistics, TLB statistics. Timing is NOT
 // excluded: cycle counts are part of the contract.
 
-// diffProgram is one corpus entry: name plus assembled image.
-type diffProgram struct {
-	name string
-	prog *asm.Program
-}
-
-// diffCorpus mirrors the E25/E27 corpus: programs/*.s with usemem.s
-// linked against memlib.s (memlib.s itself is a library, not a
-// program), plus the campaign workloads.
-func diffCorpus(t *testing.T) []diffProgram {
+// diffCorpus mirrors the E25/E27 corpus: the shipped programs plus the
+// campaign workloads.
+func diffCorpus(t *testing.T) []Program {
 	t.Helper()
-	dir := "programs"
-	files, err := filepath.Glob(filepath.Join(dir, "*.s"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no programs under %s: %v", dir, err)
-	}
-	sort.Strings(files)
-	var out []diffProgram
-	for _, f := range files {
-		name := filepath.Base(f)
-		if name == "memlib.s" {
-			continue
-		}
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var prog *asm.Program
-		if name == "usemem.s" {
-			lib, err := os.ReadFile(filepath.Join(dir, "memlib.s"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m1, err := asm.AssembleModule("usemem", string(src))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			m2, err := asm.AssembleModule("memlib", string(lib))
-			if err != nil {
-				t.Fatalf("memlib.s: %v", err)
-			}
-			prog, err = asm.Link(m1, m2)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		} else {
-			prog, err = asm.AssembleNamed(name, string(src))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		out = append(out, diffProgram{name: name, prog: prog})
+	out, err := Programs()
+	if err != nil {
+		t.Fatal(err)
 	}
 	workloads := faultinject.WorkloadSources()
 	names := make([]string, 0, len(workloads))
@@ -90,7 +43,7 @@ func diffCorpus(t *testing.T) []diffProgram {
 		if err != nil {
 			t.Fatalf("workload %s: %v", n, err)
 		}
-		out = append(out, diffProgram{name: "wl:" + n, prog: prog})
+		out = append(out, Program{Name: "wl:" + n, Prog: prog})
 	}
 	return out
 }
@@ -151,9 +104,9 @@ func TestJITDifferentialCorpus(t *testing.T) {
 	anyCompiled := false
 	for _, p := range diffCorpus(t) {
 		p := p
-		t.Run(p.name, func(t *testing.T) {
-			interp := runDiff(t, p.prog, false)
-			jitted := runDiff(t, p.prog, true)
+		t.Run(p.Name, func(t *testing.T) {
+			interp := runDiff(t, p.Prog, false)
+			jitted := runDiff(t, p.Prog, true)
 			if interp.fp != jitted.fp {
 				t.Errorf("architectural fingerprint diverges: interp %#x jit %#x", interp.fp, jitted.fp)
 			}
