@@ -4,10 +4,12 @@
 # package with concurrency: the telemetry layer's lock-free fast paths,
 # the experiment worker pool, the fault-injection campaign pool, whose
 # trials share each workload's assembled program (every trial class
-# runs in one of the four campaign determinism tests), and the
+# runs in one of the four campaign determinism tests), the
 # translator's process-wide proof table (internal/jit), which engines
-# on several goroutines register through. The multicomputer steps its
-# nodes on one goroutine, so it has no race pass.
+# on several goroutines register through, and checkpoint pages, which
+# kernels restored from one image on several goroutines share
+# copy-on-write (internal/kernel). The multicomputer steps its nodes on
+# one goroutine, so it has no race pass.
 
 GO ?= go
 
@@ -67,6 +69,7 @@ race:
 	$(GO) test -race -run 'TestCampaignDeterministic|TestTolerantCampaignDeterministic|TestMigrateCampaignDeterministic|TestPersistCampaignDeterministic' ./internal/faultinject/
 	$(GO) test -race -run 'TestJITDifferentialCorpus' .
 	$(GO) test -race -run 'TestRegisterConcurrent' ./internal/jit/
+	$(GO) test -race -run 'TestRestoreConcurrent' ./internal/kernel/
 
 # Compiled-tier differential gate (docs/PERFORMANCE.md): the E27
 # interp-vs-translator census, the root determinism corpus, the

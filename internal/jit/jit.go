@@ -83,7 +83,6 @@ type region struct {
 	size   uint64 // code segment bytes (2^CodeLog)
 	img    *capverify.Image
 	sites  *capverify.SiteTable
-	dirty  []bool // word was overwritten after registration
 	blocks []*Block
 }
 
@@ -228,7 +227,6 @@ func (e *Engine) add(base uint64, img *capverify.Image, sites *capverify.SiteTab
 		size:  size,
 		img:   img,
 		sites: sites,
-		dirty: make([]bool, img.SegWords()),
 	})
 }
 
@@ -317,7 +315,6 @@ func (e *Engine) InvalidateWrite(vaddr uint64) {
 	w := vaddr &^ 7
 	for _, r := range e.regions {
 		if w >= r.base && w < r.base+r.size {
-			r.dirty[(w-r.base)>>3] = true
 			e.flushAll()
 			e.dead = true
 			return
@@ -408,7 +405,7 @@ func (e *Engine) build(r *region, head uint64) *Block {
 	n := r.img.SegWords()
 	blk := &Block{Head: head, Valid: true}
 	for len(blk.Steps) < e.cfg.MaxBlock && pc < n {
-		if r.dirty[pc] || !r.img.Decodes[pc] {
+		if !r.img.Decodes[pc] {
 			break
 		}
 		checks := r.sites.Checks(r.base + uint64(pc)*8)

@@ -284,8 +284,8 @@ func TestInvalidateUnmapDropsOverlapping(t *testing.T) {
 }
 
 // regionAllocs bounds what a registration that finds its proof in the
-// table allocates: its region, site table view and dirty bits.
-const regionAllocs = 3
+// table allocates: its region and site table view.
+const regionAllocs = 2
 
 // loopProg loads r5 from memory and then loops at word 1 over a load
 // the verifier proves in bounds of a 4 KB data segment. loopProgAny is

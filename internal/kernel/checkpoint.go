@@ -2,10 +2,10 @@ package kernel
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/vm"
 	"repro/internal/word"
 )
@@ -52,11 +52,14 @@ type Checkpoint struct {
 }
 
 // PageImage is one page of tagged words; Frame is meaningful only for
-// resident pages (placement is preserved exactly).
+// resident pages (placement is preserved exactly). Page is the
+// memory's own storage page, shared with it copy-on-write (a nil Page
+// is a page of untagged zeros), so an image holds the page as it was
+// captured however the machine runs on.
 type PageImage struct {
 	VAddr uint64
 	Frame uint64
-	Words []word.Word
+	Page  *mem.Page
 }
 
 // ThreadImage is one hardware thread's architectural state.
@@ -79,6 +82,7 @@ func (k *Kernel) Checkpoint() (*Checkpoint, error) {
 		Segments:   make(map[uint64]uint, len(k.segments)),
 		Revoked:    make(map[uint64]bool, len(k.revoked)),
 		NextDomain: k.nextDomain,
+		Resident:   make([]PageImage, 0, k.M.Space.PT.Entries()),
 	}
 	for b, l := range k.segments {
 		cp.Segments[b] = l
@@ -101,8 +105,8 @@ func (k *Kernel) Checkpoint() (*Checkpoint, error) {
 		return nil, walkErr
 	}
 	for _, page := range k.M.Space.SwapPageList() {
-		words, _ := k.M.Space.SwapPage(page)
-		cp.Swapped = append(cp.Swapped, PageImage{VAddr: page, Words: words})
+		pg, _ := k.M.Space.SwapPage(page)
+		cp.Swapped = append(cp.Swapped, PageImage{VAddr: page, Page: pg})
 	}
 
 	for _, t := range k.M.Threads() {
@@ -129,9 +133,14 @@ func (cp *Checkpoint) Holds(vaddr uint64, words []word.Word) bool {
 			return false
 		}
 		off := int(vaddr-page) / word.BytesPerWord
-		n := min(len(words), len(img.Words)-off)
-		if n <= 0 || !slices.Equal(img.Words[off:off+n], words[:n]) {
+		n := min(len(words), mem.PageWords-off)
+		if n <= 0 {
 			return false
+		}
+		for i, w := range words[:n] {
+			if img.Page.Word(off+i) != w {
+				return false
+			}
 		}
 		vaddr += uint64(n) * word.BytesPerWord
 		words = words[n:]
@@ -186,12 +195,12 @@ func Restore(cfg machine.Config, cp *Checkpoint) (*Kernel, error) {
 		if err := k.M.Space.PT.Map(img.VAddr, img.Frame); err != nil {
 			return nil, err
 		}
-		if err := k.M.Space.Phys.WriteWords(img.Frame, img.Words); err != nil {
+		if err := k.M.Space.Phys.Adopt(img.Frame, img.Page); err != nil {
 			return nil, err
 		}
 	}
 	for _, img := range cp.Swapped {
-		if err := k.M.Space.RestoreSwapPage(img.VAddr, img.Words); err != nil {
+		if err := k.M.Space.RestoreSwapPage(img.VAddr, img.Page); err != nil {
 			return nil, err
 		}
 	}

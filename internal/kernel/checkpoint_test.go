@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/vm"
 	"repro/internal/word"
 )
 
@@ -256,5 +257,44 @@ func TestCheckpointHolds(t *testing.T) {
 	}
 	if before.Holds(base, prog.Words) {
 		t.Error("an image taken before the load holds the program")
+	}
+}
+
+// checkpointAllocs bounds what a full capture allocates, whatever the
+// number of pages it holds: the image, its two metadata maps, the
+// resident page list, the page-table walk's callback and the swap
+// list. The pages themselves are shared with the memory, not copied.
+const checkpointAllocs = 6
+
+// BenchmarkCheckpoint times a full capture (Kernel.Checkpoint) of a
+// kernel with 512 mapped pages, each holding a word. It fails if a
+// capture allocates more than checkpointAllocs objects.
+func BenchmarkCheckpoint(b *testing.B) {
+	k, err := New(machine.MMachine())
+	if err != nil {
+		b.Fatal(err)
+	}
+	seg, err := k.AllocSegment(512 * vm.PageSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for p := uint64(0); p < 512; p++ {
+		if err := k.M.Space.WriteWord(seg.Base()+p*vm.PageSize, word.FromInt(int64(p)+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var cp *Checkpoint
+	if a := testing.AllocsPerRun(10, func() { cp, err = k.Checkpoint() }); err != nil || a > checkpointAllocs {
+		b.Fatalf("a capture allocates %v times (err %v), want at most %d", a, err, checkpointAllocs)
+	}
+	if len(cp.Resident) < 512 {
+		b.Fatalf("captured %d resident pages, want at least 512", len(cp.Resident))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := k.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/vm"
-	"repro/internal/word"
 )
 
 // Incremental checkpointing: capture cost proportional to the pages
@@ -20,7 +19,7 @@ import (
 // no dirty bit on a resident PTE and are tracked separately by the
 // Space (vm/capture.go): a page freshly mapped (re-map after free can
 // reuse a frame, contents new, PTE clean), a page whose frame changed
-// (swap round trip), and a backing-store buffer mutated in place
+// (swap round trip), and a backing-store page whose contents changed
 // (swap-out, ZeroWords on a swapped page). The capture barrier is
 // atomic: dirty bits are observed and cleared in one pass, micro-cache
 // dirty hints dropped with them, so a store racing the capture is never
@@ -44,15 +43,15 @@ func (cs *CaptureState) Matches(k *Kernel) bool {
 	return cs != nil && k != nil && cs.space == k.M.Space
 }
 
-// readPage captures one resident page through the physical plane (ECC
-// heals correctable decay on the way into the image).
+// readPage captures one resident page: a snapshot of its storage page,
+// read through the physical plane (ECC heals correctable decay on the
+// way into the image) and shared with the memory, not copied.
 func (k *Kernel) readPage(page, frame uint64) (PageImage, error) {
-	wordsPerPage := vm.PageSize / word.BytesPerWord
-	img := PageImage{VAddr: page, Frame: frame, Words: make([]word.Word, wordsPerPage)}
-	if err := k.M.Space.Phys.ReadWords(frame, img.Words); err != nil {
+	pg, err := k.M.Space.Phys.Snapshot(frame)
+	if err != nil {
 		return PageImage{}, err
 	}
-	return img, nil
+	return PageImage{VAddr: page, Frame: frame, Page: pg}, nil
 }
 
 // manifest records the Space's current residency for the next delta.
@@ -97,7 +96,7 @@ func (k *Kernel) CheckpointIncremental(prev *CaptureState) (*Checkpoint, *Captur
 	dirty := s.DirtyPages(true)
 	fresh, swapTouched := s.DrainCaptureTouched()
 
-	current := make(map[uint64]uint64)
+	current := make(map[uint64]uint64, s.PT.Entries())
 	s.PT.Walk(func(page uint64, pte vm.PTE) bool {
 		current[page] = pte.Frame
 		return true
@@ -173,11 +172,11 @@ func (k *Kernel) CheckpointIncremental(prev *CaptureState) (*Checkpoint, *Captur
 	}
 	sort.Slice(swapPages, func(i, j int) bool { return swapPages[i] < swapPages[j] })
 	for _, p := range swapPages {
-		words, ok := s.SwapPage(p)
+		pg, ok := s.SwapPage(p)
 		if !ok {
 			return nil, nil, fmt.Errorf("kernel: swap page %#x vanished during capture", p)
 		}
-		cp.Swapped = append(cp.Swapped, PageImage{VAddr: p, Words: words})
+		cp.Swapped = append(cp.Swapped, PageImage{VAddr: p, Page: pg})
 	}
 	for p := range prev.swapped {
 		if _, ok := swapNow[p]; !ok {

@@ -152,7 +152,7 @@ func TestIncrementalDeltaCompleteness(t *testing.T) {
 		t.Fatalf("swapped-out page not tombstoned from residency: %v", cp.Dropped)
 	}
 
-	// Scrub the swapped page in place (FreeSegment does this): content
+	// Scrub the swapped page (FreeSegment does this): content
 	// change with no dirty bit anywhere.
 	if err := s.ZeroWords(base, base+64); err != nil {
 		t.Fatal(err)
@@ -161,8 +161,8 @@ func TestIncrementalDeltaCompleteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cp.Swapped) != 1 || cp.Swapped[0].VAddr != page || cp.Swapped[0].Words[0].Int() != 0 {
-		t.Fatalf("in-place swap scrub not in delta: %+v", cp.Swapped)
+	if len(cp.Swapped) != 1 || cp.Swapped[0].VAddr != page || cp.Swapped[0].Page.Word(0).Int() != 0 {
+		t.Fatalf("swap scrub not in delta: %+v", cp.Swapped)
 	}
 
 	// Swap back in: the page is resident again (fresh mapping, clean

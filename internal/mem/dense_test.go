@@ -117,6 +117,36 @@ func (m *denseMemory) WriteWords(paddr uint64, src []word.Word) error {
 	return nil
 }
 
+// Snapshot and Adopt are the page copies the paged Memory's shared
+// pages must match: a ReadWords and a WriteWords of one whole page.
+func (m *denseMemory) pageAt(op string, paddr uint64) error {
+	switch {
+	case paddr%pageBytes != 0:
+		return m.addrErr(op, paddr, ErrUnaligned)
+	case paddr/word.BytesPerWord+pageWords > uint64(len(m.data)):
+		return m.addrErr(op, paddr, ErrOutOfRange)
+	}
+	return nil
+}
+
+func (m *denseMemory) Snapshot(paddr uint64) ([]word.Word, error) {
+	if err := m.pageAt("snapshot", paddr); err != nil {
+		return nil, err
+	}
+	ws := make([]word.Word, pageWords)
+	if err := m.ReadWords(paddr, ws); err != nil {
+		return nil, err
+	}
+	return ws, nil
+}
+
+func (m *denseMemory) Adopt(paddr uint64, ws []word.Word) error {
+	if err := m.pageAt("adopt", paddr); err != nil {
+		return err
+	}
+	return m.WriteWords(paddr, ws)
+}
+
 func (m *denseMemory) ZeroRange(paddr, size uint64) error {
 	if size%word.BytesPerWord != 0 {
 		return fmt.Errorf("mem: zero range size %#x not word aligned", size)

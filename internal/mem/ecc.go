@@ -130,10 +130,11 @@ func checkByte(w word.Word) uint8 {
 // active, and ECC wins.
 func (m *Memory) EnableECC() {
 	m.check = checkECC
-	for _, p := range m.pages {
+	for k, p := range m.pages {
 		if p == nil {
 			continue
 		}
+		p = m.writable(uint64(k))
 		for j := uint64(0); j < pageWords; j++ {
 			p.ecc[j] = checkByte(p.word(j))
 		}
@@ -146,11 +147,13 @@ func (m *Memory) ECCEnabled() bool { return m.check == checkECC }
 // ECCStats returns a copy of the error-correction counters.
 func (m *Memory) ECCStats() ECCStats { return m.eccStats }
 
-// verifyECC checks word j of page p against its check byte, repairing
-// a single-bit error in place (data, tag, check bits, or the overall
-// parity bit). It reports whether the word is now good; false means an
-// uncorrectable double-bit error was detected.
-func (m *Memory) verifyECC(p *page, j uint64) bool {
+// verifyECC checks word j of present page k against its check byte,
+// repairing a single-bit error in place (data, tag, check bits, or the
+// overall parity bit) — in a clone, if a snapshot shares the page. It
+// reports whether the word is now good; false means an uncorrectable
+// double-bit error was detected.
+func (m *Memory) verifyECC(k, j uint64) bool {
+	p := m.pages[k]
 	w := p.word(j)
 	cb := p.ecc[j]
 	s := synOf(w) ^ cb&0x7f
@@ -169,9 +172,10 @@ func (m *Memory) verifyECC(p *page, j uint64) bool {
 	case s == 0 || s&(s-1) == 0:
 		// The overall parity bit (s==0) or a Hamming check bit flipped;
 		// the data is intact — rebuild the check byte.
-		p.ecc[j] = checkByte(w)
+		m.writable(k).ecc[j] = checkByte(w)
 	case int(s) < len(posToData) && posToData[s] >= 0:
 		// A data or tag bit flipped: the syndrome names its position.
+		p = m.writable(k)
 		if d := posToData[s]; d < 64 {
 			p.data[j] ^= 1 << uint(d)
 		} else {
@@ -203,9 +207,9 @@ func (m *Memory) ScrubStep(n int) int {
 	for left > 0 {
 		i := m.scrubCursor
 		end := min(m.pageEnd(i), i+left)
-		if p := m.pages[i>>pageShift]; p != nil {
+		if k := i >> pageShift; m.pages[k] != nil {
 			for j := i; j < end; j++ {
-				m.verifyECC(p, j&pageMask)
+				m.verifyECC(k, j&pageMask)
 			}
 		}
 		left -= end - i

@@ -10,6 +10,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -80,9 +81,16 @@ const (
 	pageMask  = pageWords - 1
 )
 
-// page holds every plane of one storage page. Its zero value is a page
-// of untagged zero words with consistent check bits.
-type page struct {
+// Page is one storage page: its data, tag and check planes. Its zero
+// value is a page of untagged zero words with consistent check bits,
+// and so is the nil *Page, which stands for an absent page.
+//
+// A Page is also a checkpoint's image of the page (Snapshot). A page
+// handed out by Snapshot is shared: nothing writes it again, and the
+// memory that owns it clones it before its next change (copy on
+// write), so capturing a page costs a pointer, not a copy, and any
+// number of images and memories may hold one page at once.
+type Page struct {
 	data [pageWords]uint64
 	tags [pageWords / 64]uint64 // 1 bit per word
 	// parity is an even-parity bit per word covering the 64 data bits
@@ -91,13 +99,85 @@ type page struct {
 	// ecc is the SECDED check byte per word (see ecc.go), kept while the
 	// ECC plane is enabled.
 	ecc [pageWords]uint8
+	// shared marks a page a snapshot holds. Only the owning memory sets
+	// it, on a page still private to it; no plane of a shared page is
+	// ever written again.
+	shared bool
 }
 
-func (p *page) word(j uint64) word.Word {
+// PageWords is the number of words in a page.
+const PageWords = pageWords
+
+// PlaneBytes is the size of a page's data and tag planes as
+// AppendPlanes lays them out: the tag bitmap, one bit per word, then
+// the words, each little-endian.
+const PlaneBytes = pageWords/8 + pageBytes
+
+// Word returns word i (0 ≤ i < PageWords) of the page.
+func (p *Page) Word(i int) word.Word {
+	if p == nil {
+		return word.Word{}
+	}
+	return p.word(uint64(i))
+}
+
+func (p *Page) word(j uint64) word.Word {
 	return word.Word{Bits: p.data[j], Tag: p.tags[j/64]>>(j%64)&1 != 0}
 }
 
-func (p *page) setTag(j uint64, t bool) {
+// AppendPlanes appends the page's tag and data planes to b, PlaneBytes
+// bytes in all.
+func (p *Page) AppendPlanes(b []byte) []byte {
+	if p == nil {
+		return append(b, make([]byte, PlaneBytes)...)
+	}
+	for _, t := range p.tags {
+		b = binary.LittleEndian.AppendUint64(b, t)
+	}
+	for _, d := range p.data {
+		b = binary.LittleEndian.AppendUint64(b, d)
+	}
+	return b
+}
+
+// PageFromPlanes builds a page from the first PlaneBytes bytes of b,
+// laid out as AppendPlanes writes them. The page is shared from the
+// start, so a memory that adopts it clones it before writing; a page
+// of untagged zeros comes back nil.
+func PageFromPlanes(b []byte) *Page {
+	p := &Page{shared: true}
+	var any uint64
+	for i := range p.tags {
+		p.tags[i] = binary.LittleEndian.Uint64(b[8*i:])
+		any |= p.tags[i]
+	}
+	b = b[pageWords/8 : PlaneBytes]
+	for i := range p.data {
+		p.data[i] = binary.LittleEndian.Uint64(b[8*i:])
+		any |= p.data[i]
+	}
+	if any == 0 {
+		return nil
+	}
+	return p
+}
+
+// Cleared returns a copy of the page with words lo..hi-1 set to
+// untagged zero; like a snapshot, the copy is shared.
+func (p *Page) Cleared(lo, hi int) *Page {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	for j := lo; j < hi; j++ {
+		c.data[j] = 0
+		c.setTag(uint64(j), false)
+	}
+	c.shared = true
+	return &c
+}
+
+func (p *Page) setTag(j uint64, t bool) {
 	if t {
 		p.tags[j/64] |= 1 << (j % 64)
 	} else {
@@ -105,9 +185,9 @@ func (p *page) setTag(j uint64, t bool) {
 	}
 }
 
-func (p *page) parityAt(j uint64) bool { return p.parity[j/64]>>(j%64)&1 != 0 }
+func (p *Page) parityAt(j uint64) bool { return p.parity[j/64]>>(j%64)&1 != 0 }
 
-func (p *page) setParity(j uint64, b bool) {
+func (p *Page) setParity(j uint64, b bool) {
 	if b {
 		p.parity[j/64] |= 1 << (j % 64)
 	} else {
@@ -132,7 +212,7 @@ const (
 // cost accounting of Sec 4.1.
 type Memory struct {
 	words       uint64
-	pages       []*page // nil: absent, reads as untagged zero
+	pages       []*Page // nil: absent, reads as untagged zero
 	check       uint8   // checkNone, checkParity or checkECC
 	eccStats    ECCStats
 	scrubCursor uint64 // ScrubStep's rotating position
@@ -143,7 +223,7 @@ type Memory struct {
 // is allocated until it is written.
 func New(sizeBytes uint64) *Memory {
 	words := (sizeBytes + word.BytesPerWord - 1) / word.BytesPerWord
-	return &Memory{words: words, pages: make([]*page, (words+pageMask)>>pageShift)}
+	return &Memory{words: words, pages: make([]*Page, (words+pageMask)>>pageShift)}
 }
 
 // Size returns the memory size in bytes.
@@ -174,9 +254,20 @@ func (m *Memory) addrErr(op string, paddr uint64, err error) error {
 	return &AddrError{Op: op, Addr: paddr, Mem: m.Size(), Err: err}
 }
 
-// alloc makes page k present.
-func (m *Memory) alloc(k uint64) *page {
-	p := new(page)
+// writable returns page k ready to be changed: made present if it is
+// absent, and cloned if a snapshot shares it.
+func (m *Memory) writable(k uint64) *Page {
+	p := m.pages[k]
+	switch {
+	case p == nil:
+		p = new(Page)
+	case p.shared:
+		c := *p
+		c.shared = false
+		p = &c
+	default:
+		return p
+	}
 	m.pages[k] = p
 	return p
 }
@@ -196,22 +287,24 @@ func (m *Memory) ReadWord(paddr uint64) (word.Word, error) {
 	if err != nil {
 		return word.Word{}, m.addrErr("read", paddr, err)
 	}
-	p, j := m.pages[i>>pageShift], i&pageMask
+	k, j := i>>pageShift, i&pageMask
+	p := m.pages[k]
 	switch {
 	case p == nil:
 		return word.Word{}, nil
 	case m.check != checkNone:
-		return m.read(p, j, paddr)
+		return m.read(k, j, paddr)
 	}
 	return p.word(j), nil
 }
 
-// read returns word j of present page p (at paddr), verifying it
+// read returns word j of present page k (at paddr), verifying it
 // against the active check plane.
-func (m *Memory) read(p *page, j, paddr uint64) (word.Word, error) {
-	if m.check == checkECC && !m.verifyECC(p, j) {
+func (m *Memory) read(k, j, paddr uint64) (word.Word, error) {
+	if m.check == checkECC && !m.verifyECC(k, j) {
 		return word.Word{}, &ECCError{Addr: paddr}
 	}
+	p := m.pages[k] // after verifyECC, which may have cloned it
 	w := p.word(j)
 	if m.check == checkParity && p.parityAt(j) != wordParity(w) {
 		return word.Word{}, &ParityError{Addr: paddr}
@@ -225,20 +318,17 @@ func (m *Memory) WriteWord(paddr uint64, w word.Word) error {
 	if err != nil {
 		return m.addrErr("write", paddr, err)
 	}
-	p := m.pages[i>>pageShift]
-	if p == nil {
-		if w.IsZero() {
-			return nil // an absent page already reads as this word
-		}
-		p = m.alloc(i >> pageShift)
+	k := i >> pageShift
+	if m.pages[k] == nil && w.IsZero() {
+		return nil // an absent page already reads as this word
 	}
-	m.write(p, i&pageMask, w)
+	m.write(m.writable(k), i&pageMask, w)
 	return nil
 }
 
-// write stores w as word j of present page p, keeping the active check
+// write stores w as word j of writable page p, keeping the active check
 // plane coherent.
-func (m *Memory) write(p *page, j uint64, w word.Word) {
+func (m *Memory) write(p *Page, j uint64, w word.Word) {
 	p.data[j] = w.Bits
 	p.setTag(j, w.Tag)
 	if m.check != checkNone {
@@ -248,7 +338,7 @@ func (m *Memory) write(p *page, j uint64, w word.Word) {
 
 // writeCheck updates the active check plane for word j of p, just
 // written with w.
-func (m *Memory) writeCheck(p *page, j uint64, w word.Word) {
+func (m *Memory) writeCheck(p *Page, j uint64, w word.Word) {
 	switch m.check {
 	case checkParity:
 		p.setParity(j, wordParity(w))
@@ -269,7 +359,8 @@ func (m *Memory) ReadWords(paddr uint64, dst []word.Word) error {
 			return m.addrErr("read", a, err)
 		}
 		chunk := dst[n:min(len(dst), n+int(m.pageEnd(i)-i))]
-		switch p := m.pages[i>>pageShift]; {
+		k := i >> pageShift
+		switch p := m.pages[k]; {
 		case p == nil:
 			clear(chunk)
 		case m.check == checkNone:
@@ -278,7 +369,7 @@ func (m *Memory) ReadWords(paddr uint64, dst []word.Word) error {
 			}
 		default:
 			for c := range chunk {
-				w, err := m.read(p, (i+uint64(c))&pageMask, a+uint64(c)*word.BytesPerWord)
+				w, err := m.read(k, (i+uint64(c))&pageMask, a+uint64(c)*word.BytesPerWord)
 				if err != nil {
 					return err
 				}
@@ -303,11 +394,8 @@ func (m *Memory) WriteWords(paddr uint64, src []word.Word) error {
 		}
 		chunk := src[n:min(len(src), n+int(m.pageEnd(i)-i))]
 		k := i >> pageShift
-		p := m.pages[k]
-		if p == nil && !allZero(chunk) {
-			p = m.alloc(k)
-		}
-		if p != nil {
+		if m.pages[k] != nil || !allZero(chunk) {
+			p := m.writable(k)
 			for c, w := range chunk {
 				m.write(p, (i+uint64(c))&pageMask, w)
 			}
@@ -344,11 +432,12 @@ func (m *Memory) ZeroRange(paddr, size uint64) error {
 		}
 		end := min(m.pageEnd(i), i+(size-off)/word.BytesPerWord)
 		k := i >> pageShift
-		switch p := m.pages[k]; {
-		case p == nil:
+		switch {
+		case m.pages[k] == nil:
 		case i&pageMask == 0 && end == m.pageEnd(i):
 			m.pages[k] = nil
 		default:
+			p := m.writable(k)
 			for j := i; j < end; j++ {
 				m.write(p, j&pageMask, word.Word{})
 			}
@@ -371,9 +460,9 @@ func (m *Memory) TaggedWordsIn(paddr, size uint64) (int, error) {
 			return n, m.addrErr("read", a, err)
 		}
 		end := min(m.pageEnd(i), i+(size-off)/word.BytesPerWord)
-		if p := m.pages[i>>pageShift]; p != nil {
+		if k := i >> pageShift; m.pages[k] != nil {
 			for j := i; j < end; j++ {
-				w, err := m.read(p, j&pageMask, a+(j-i)*word.BytesPerWord)
+				w, err := m.read(k, j&pageMask, a+(j-i)*word.BytesPerWord)
 				if err != nil {
 					return n, err
 				}
@@ -438,10 +527,11 @@ func wordParity(w word.Word) bool {
 // (at most one check discipline runs at a time).
 func (m *Memory) EnableParity() {
 	m.check = checkParity
-	for _, p := range m.pages {
+	for k, p := range m.pages {
 		if p == nil {
 			continue
 		}
+		p = m.writable(uint64(k))
 		for j := uint64(0); j < pageWords; j++ {
 			p.setParity(j, wordParity(p.word(j)))
 		}
@@ -466,11 +556,7 @@ func (m *Memory) FlipBit(paddr uint64, bit uint) error {
 	if bit > 64 && (bit > 72 || m.check != checkECC) {
 		return fmt.Errorf("mem: flip bit %d out of range (0..64)", bit)
 	}
-	p := m.pages[i>>pageShift]
-	if p == nil {
-		p = m.alloc(i >> pageShift)
-	}
-	j := i & pageMask
+	p, j := m.writable(i>>pageShift), i&pageMask
 	switch {
 	case bit < 64:
 		p.data[j] ^= 1 << bit
@@ -500,13 +586,13 @@ func (m *Memory) Scrub() int {
 		return 0
 	}
 	bad := 0
-	for _, p := range m.pages {
+	for k, p := range m.pages {
 		if p == nil {
 			continue
 		}
 		for j := uint64(0); j < pageWords; j++ {
 			if m.check == checkECC {
-				if !m.verifyECC(p, j) {
+				if !m.verifyECC(uint64(k), j) {
 					bad++
 				}
 			} else if p.parityAt(j) != wordParity(p.word(j)) {
@@ -528,4 +614,65 @@ func (m *Memory) PeekWord(paddr uint64) (word.Word, error) {
 		return p.word(i & pageMask), nil
 	}
 	return word.Word{}, nil
+}
+
+// pageAt maps the physical base address of a whole page to its index.
+func (m *Memory) pageAt(op string, paddr uint64) (uint64, error) {
+	switch {
+	case paddr%pageBytes != 0:
+		return 0, m.addrErr(op, paddr, ErrUnaligned)
+	case paddr/word.BytesPerWord+pageWords > m.words:
+		return 0, m.addrErr(op, paddr, ErrOutOfRange)
+	}
+	return paddr / pageBytes, nil
+}
+
+// Snapshot returns the page at physical address paddr, which must be
+// the base of a whole page, as a fixed image: later writes to the
+// memory clone the page first and never reach the image. It reads the
+// page through the active check plane exactly as ReadWords would — the
+// same *ParityError or *ECCError at the first bad word, the same
+// corrections in place and the same ECCStats — and then marks it
+// shared, so a capture costs no copy. An absent page returns nil.
+func (m *Memory) Snapshot(paddr uint64) (*Page, error) {
+	k, err := m.pageAt("snapshot", paddr)
+	if err != nil {
+		return nil, err
+	}
+	if m.pages[k] == nil {
+		return nil, nil
+	}
+	if m.check != checkNone {
+		for j := uint64(0); j < pageWords; j++ {
+			if _, err := m.read(k, j, paddr+j*word.BytesPerWord); err != nil {
+				return nil, err
+			}
+		}
+	}
+	p := m.pages[k]
+	if !p.shared {
+		p.shared = true
+	}
+	return p, nil
+}
+
+// Adopt installs p, a Snapshot or PageFromPlanes image, as the page at
+// physical address paddr, which must be the base of a whole page: the
+// memory then reads as p and clones it before any write, so the image
+// stays as it was. A nil p leaves the page absent. Under an active
+// check plane the memory takes a private clone and computes the plane
+// for it, as WriteWords would.
+func (m *Memory) Adopt(paddr uint64, p *Page) error {
+	k, err := m.pageAt("adopt", paddr)
+	if err != nil {
+		return err
+	}
+	m.pages[k] = p
+	if p != nil && m.check != checkNone {
+		p = m.writable(k)
+		for j := uint64(0); j < pageWords; j++ {
+			m.writeCheck(p, j, p.word(j))
+		}
+	}
+	return nil
 }

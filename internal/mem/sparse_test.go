@@ -62,19 +62,44 @@ func errText(err error) string {
 	return fmt.Sprintf("%T %v", err, err)
 }
 
+// kept is a snapshot the differential test holds on to: the page, a
+// copy of every plane as Snapshot returned it, and the oracle's words.
+type kept struct {
+	p      *Page
+	planes Page
+	words  []word.Word
+}
+
+// pageAddr picks the base of a page for Snapshot and Adopt: mostly a
+// whole page, sometimes the partial last page, an unaligned address or
+// one past the end.
+func (r *rng) pageAddr(size uint64) uint64 {
+	switch r.intn(12) {
+	case 0:
+		return r.addr(size)
+	case 1:
+		return (size + pageBytes - 1) &^ (pageBytes - 1)
+	}
+	return r.next() % size &^ (pageBytes - 1)
+}
+
 // TestSparseMatchesDense drives the paged Memory and the dense oracle
 // with the same seeded operation sequences and requires identical
 // values, errors and ECC statistics after every operation, and
-// identical contents at the end.
+// identical contents at the end. A page Snapshot returns must equal the
+// oracle's ReadWords of it, and every snapshot the test keeps must
+// still hold every plane it had after each later operation, so a write
+// path that changes a shared page without cloning it fails here.
 func TestSparseMatchesDense(t *testing.T) {
 	sizes := []uint64{4 * pageBytes, 3*pageBytes + 200} // whole pages, and a partial last page
 	for seed := uint64(1); seed <= 24; seed++ {
 		size := sizes[seed%2]
 		r := rng(seed)
 		sp, dn := New(size), newDense(size)
+		var snaps []kept
 		for op := 0; op < 4000; op++ {
 			var got, want string
-			switch k := r.intn(100); {
+			switch k := r.intn(110); {
 			case k < 25:
 				a := r.addr(size)
 				w1, e1 := sp.ReadWord(a)
@@ -125,7 +150,7 @@ func TestSparseMatchesDense(t *testing.T) {
 						break
 					}
 				}
-			default:
+			case k < 100:
 				a, n := r.addr(size), r.span()/word.BytesPerWord
 				src := make([]word.Word, n)
 				for i := range src {
@@ -134,12 +159,48 @@ func TestSparseMatchesDense(t *testing.T) {
 					}
 				}
 				got, want = "WriteWords "+errText(sp.WriteWords(a, src)), "WriteWords "+errText(dn.WriteWords(a, src))
+			case k < 106:
+				a := r.pageAddr(size)
+				p, e1 := sp.Snapshot(a)
+				ws, e2 := dn.Snapshot(a)
+				got, want = "Snapshot "+errText(e1), "Snapshot "+errText(e2)
+				if e1 != nil || e2 != nil {
+					break
+				}
+				for i := range ws {
+					if p.Word(i) != ws[i] {
+						got, want = fmt.Sprint(got, " word ", i, p.Word(i)), fmt.Sprint(want, " word ", i, ws[i])
+						break
+					}
+				}
+				s := kept{p: p, words: ws}
+				if p != nil {
+					s.planes = *p
+				}
+				if len(snaps) == 4 {
+					snaps = snaps[1:]
+				}
+				snaps = append(snaps, s)
+			default:
+				a := r.pageAddr(size)
+				var s kept
+				if len(snaps) > 0 {
+					s = snaps[r.intn(len(snaps))]
+				} else {
+					s.words = make([]word.Word, pageWords)
+				}
+				got, want = "Adopt "+errText(sp.Adopt(a, s.p)), "Adopt "+errText(dn.Adopt(a, s.words))
 			}
 			if got != want {
 				t.Fatalf("seed %d op %d: paged %s\ndense %s", seed, op, got, want)
 			}
 			if sp.ECCStats() != dn.eccStats {
 				t.Fatalf("seed %d op %d (%s): ECCStats paged %+v, dense %+v", seed, op, got, sp.ECCStats(), dn.eccStats)
+			}
+			for i, s := range snaps {
+				if s.p != nil && *s.p != s.planes {
+					t.Fatalf("seed %d op %d (%s): kept snapshot %d changed under it", seed, op, got, i)
+				}
 			}
 		}
 		for a := uint64(0); a < size; a += word.BytesPerWord {

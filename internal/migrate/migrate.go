@@ -1,12 +1,12 @@
 package migrate
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/persist"
 	"repro/internal/telemetry"
 	"repro/internal/word"
@@ -161,38 +161,66 @@ func (m *Metrics) Note(rep *Report) {
 func pageHash(img kernel.PageImage) uint64 {
 	h := word.NewHash()
 	h.Mix(img.Frame)
-	for _, w := range img.Words {
-		h.MixWord(w)
+	for i := range mem.PageWords {
+		h.MixWord(img.Page.Word(i))
 	}
 	return uint64(h)
 }
 
 // source tracks what the standby already holds, by content hash. The
-// migration source deliberately captures FULL checkpoints each round
-// (kernel.Checkpoint is pure reads) and diffs them here, rather than
-// consuming the kernel's hardware dirty bits: those belong to the
-// concurrent persist chain, and draining them would corrupt it —
-// violating the abort guarantee that the source is bit-identical to
-// never having migrated.
+// migration source captures a FULL checkpoint each round and diffs it
+// here, rather than consuming the kernel's hardware dirty bits: those
+// belong to the concurrent persist chain, and draining them would
+// corrupt it — violating the abort guarantee that the source is
+// bit-identical to never having migrated. A full capture shares the
+// memory's pages instead of copying them, so it costs a pointer per
+// mapped page, and a page whose snapshot is the very page the last
+// round shipped is unchanged: only pages written since are hashed.
 type source struct {
-	resident map[uint64]uint64 // vaddr -> content hash, as shipped
-	swapped  map[uint64]uint64
+	resident map[uint64]shipped // by vaddr
+	swapped  map[uint64]shipped
 }
 
-func newSource() *source {
-	return &source{resident: make(map[uint64]uint64), swapped: make(map[uint64]uint64)}
+// shipped is the standby's copy of one page: the snapshot last sent
+// and its content hash.
+type shipped struct {
+	img  kernel.PageImage
+	hash uint64
 }
 
-// delta builds the round image: the full cp for round 1, otherwise a
-// delta holding only pages whose content changed since they were last
-// shipped, plus tombstones for pages that vanished. Metadata
-// (segments, threads, region) is always full, matching the kernel's
-// incremental-checkpoint convention.
-func (s *source) delta(cp *kernel.Checkpoint, round int) *kernel.Checkpoint {
-	if round == 1 {
-		s.note(cp)
-		return cp
+// diff compares imgs, one kind of page of this round's capture, with
+// sent, what the standby holds of that kind. It returns the standby's
+// view once this round lands, the pages whose content changed, and the
+// pages that vanished, ascending.
+func diff(sent map[uint64]shipped, imgs []kernel.PageImage) (next map[uint64]shipped, changed []kernel.PageImage, gone []uint64) {
+	next = make(map[uint64]shipped, len(imgs))
+	for _, img := range imgs {
+		old, ok := sent[img.VAddr]
+		h := old.hash
+		if !ok || old.img.Page != img.Page || old.img.Frame != img.Frame {
+			h = pageHash(img)
+		}
+		if !ok || h != old.hash {
+			changed = append(changed, img)
+		}
+		next[img.VAddr] = shipped{img: img, hash: h}
 	}
+	for va := range sent {
+		if _, ok := next[va]; !ok {
+			gone = append(gone, va)
+		}
+	}
+	sort.Slice(gone, func(i, j int) bool { return gone[i] < gone[j] })
+	return next, changed, gone
+}
+
+// delta builds the round image from the round's full capture cp: for
+// round 1 a base image of every page, otherwise a delta holding only
+// pages whose content changed since they were last shipped, plus
+// tombstones for pages that vanished. Metadata (segments, threads,
+// region) is always full, matching the kernel's incremental-checkpoint
+// convention.
+func (s *source) delta(cp *kernel.Checkpoint, round int) *kernel.Checkpoint {
 	d := &kernel.Checkpoint{
 		RegionBase: cp.RegionBase,
 		RegionLog:  cp.RegionLog,
@@ -200,48 +228,11 @@ func (s *source) delta(cp *kernel.Checkpoint, round int) *kernel.Checkpoint {
 		Revoked:    cp.Revoked,
 		NextDomain: cp.NextDomain,
 		Threads:    cp.Threads,
-		Delta:      true,
+		Delta:      round > 1,
 	}
-	seenR := make(map[uint64]bool, len(cp.Resident))
-	for _, img := range cp.Resident {
-		seenR[img.VAddr] = true
-		if s.resident[img.VAddr] != pageHash(img) {
-			d.Resident = append(d.Resident, img)
-		}
-	}
-	seenS := make(map[uint64]bool, len(cp.Swapped))
-	for _, img := range cp.Swapped {
-		seenS[img.VAddr] = true
-		if s.swapped[img.VAddr] != pageHash(img) {
-			d.Swapped = append(d.Swapped, img)
-		}
-	}
-	for va := range s.resident {
-		if !seenR[va] {
-			d.Dropped = append(d.Dropped, va)
-		}
-	}
-	for va := range s.swapped {
-		if !seenS[va] {
-			d.SwapDropped = append(d.SwapDropped, va)
-		}
-	}
-	sort.Slice(d.Dropped, func(i, j int) bool { return d.Dropped[i] < d.Dropped[j] })
-	sort.Slice(d.SwapDropped, func(i, j int) bool { return d.SwapDropped[i] < d.SwapDropped[j] })
-	s.note(cp)
+	s.resident, d.Resident, d.Dropped = diff(s.resident, cp.Resident)
+	s.swapped, d.Swapped, d.SwapDropped = diff(s.swapped, cp.Swapped)
 	return d
-}
-
-// note records cp as the standby's (imminent) view.
-func (s *source) note(cp *kernel.Checkpoint) {
-	clear(s.resident)
-	clear(s.swapped)
-	for _, img := range cp.Resident {
-		s.resident[img.VAddr] = pageHash(img)
-	}
-	for _, img := range cp.Swapped {
-		s.swapped[img.VAddr] = pageHash(img)
-	}
 }
 
 // FingerprintImage hashes a checkpoint's architectural content,
@@ -463,7 +454,7 @@ func Run(k *kernel.Kernel, link *Link, recv *Receiver, step func(cycles uint64),
 		return abort("hello-failed", err)
 	}
 
-	src := newSource()
+	var src source
 	var final *kernel.Checkpoint
 	for round := 1; ; round++ {
 		if cfg.AbortAtRound == round {
@@ -477,8 +468,6 @@ func Run(k *kernel.Kernel, link *Link, recv *Receiver, step func(cycles uint64),
 			return abort("capture-failed", err)
 		}
 		img := src.delta(cp, round)
-		var buf bytes.Buffer
-		buf.Grow(persist.EncodedSize(img))
 		hdr := persist.Header{
 			Node:  uint32(cfg.Node),
 			Gen:   uint64(round),
@@ -490,17 +479,18 @@ func Run(k *kernel.Kernel, link *Link, recv *Receiver, step func(cycles uint64),
 		} else {
 			hdr.Parent = uint64(round)
 		}
-		if err := persist.Encode(&buf, hdr, img); err != nil {
+		buf, err := persist.Marshal(hdr, img)
+		if err != nil {
 			return abort("encode-failed", err)
 		}
 		pages := len(img.Resident) + len(img.Swapped)
 		rd := Round{
 			Pages:      pages,
 			Tombstones: len(img.Dropped) + len(img.SwapDropped),
-			Bytes:      buf.Len(),
+			Bytes:      len(buf),
 		}
 		wire0 := link.Stats().WireCycles
-		if err := link.SendImage(uint32(round), buf.Bytes()); err != nil {
+		if err := link.SendImage(uint32(round), buf); err != nil {
 			rep.Rounds = append(rep.Rounds, rd)
 			return abort("transfer-failed", err)
 		}

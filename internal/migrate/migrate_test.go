@@ -7,6 +7,8 @@ import (
 	"repro/internal/asm"
 	"repro/internal/kernel"
 	"repro/internal/machine"
+	"repro/internal/mem"
+	"repro/internal/vm"
 	"repro/internal/word"
 )
 
@@ -298,8 +300,24 @@ func TestMigrateFingerprintMismatchAborts(t *testing.T) {
 		}
 		// Corrupt the standby's copy of the base image after it passed
 		// every wire check — only the cutover fingerprint can catch this.
+		// Its pages are shared, so the corruption swaps in a modified
+		// copy of one.
 		if f.Kind == FrameImage && len(recv.chain) == 1 && len(recv.chain[0].Resident) > 0 {
-			recv.chain[0].Resident[0].Words[0].Bits ^= 1
+			img := &recv.chain[0].Resident[0]
+			m := mem.New(vm.PageSize)
+			if err := m.Adopt(0, img.Page); err != nil {
+				return err
+			}
+			w := img.Page.Word(0)
+			w.Bits ^= 1
+			if err := m.WriteWord(0, w); err != nil {
+				return err
+			}
+			pg, err := m.Snapshot(0)
+			if err != nil {
+				return err
+			}
+			img.Page = pg
 		}
 		return nil
 	}

@@ -153,13 +153,6 @@ type System struct {
 	// fault-injection campaigns checkpoint and kill nodes from here).
 	OnCycle func(cycle uint64)
 
-	// OnRestore, when non-nil, runs after auto-recovery rewires each
-	// restored node, before execution resumes — the hook for per-node
-	// environment the checkpoint image does not capture (ECC planes,
-	// integrity hooks, tracers). Translator registrations need no hook:
-	// the restored node keeps those whose code its image holds.
-	OnRestore func(id int, k *kernel.Kernel)
-
 	// OnFlightDump, when non-nil, fires when the system crosses an
 	// unrecoverable boundary — the watchdog trips with no repair left, a
 	// node machine faults with no handler, or the reliable transport
@@ -529,10 +522,10 @@ func (s *System) recoverAll() bool {
 	}
 	for i, k := range ks {
 		s.installKernel(i, k, cps[i])
-		if s.OnRestore != nil {
-			s.OnRestore(i, k)
-		}
 	}
+	// Every clock restarts at cycle 0, so the links' reservations, kept
+	// in cycles of the old timeline, go with them.
+	s.Net.ReleaseLinks()
 	s.restores++
 	s.hung = false
 	// Reset the progress baseline to the restored machines' counters so

@@ -87,12 +87,7 @@ func newCrossNode(t *testing.T, c crossNodeCase) *crossNode {
 	if c.killAt != 0 {
 		cfg.CheckpointEvery = 500
 		cfg.AutoRecover = true
-		// Restored machines restart their clocks at zero while the
-		// mesh's links stay reserved up to the cycle of the restore, so a
-		// restored node's first remote accesses wait out that gap. The
-		// window must outlast it, or every restore trips the watchdog
-		// again.
-		cfg.WatchdogCycles = 100_000
+		cfg.WatchdogCycles = 2000
 	}
 	s, err := New(cfg)
 	if err != nil {

@@ -169,3 +169,15 @@ func TestReviveFromCheckpointResumes(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverReleasesLinks: auto-recovery restarts every node's clock
+// at cycle 0, so it must release the links the old timeline reserved.
+// Otherwise each restored node's first remote accesses wait until the
+// cycle of the restore, the watchdog (2,000 cycles here) trips again,
+// and the run spends every restore it has on the same checkpoint.
+func TestRecoverReleasesLinks(t *testing.T) {
+	x, _, _ := runCrossNode(t, crossNodeCase{name: "recover", trips: 400, killAt: 2500})
+	if n := x.s.Restores(); n != 1 {
+		t.Fatalf("%d restores after one kill, want 1", n)
+	}
+}

@@ -251,6 +251,12 @@ func (n *Network) reserve(l link, t uint64) uint64 {
 	return t + n.cfg.RouterLatency
 }
 
+// ReleaseLinks drops every link reservation, for a mesh whose node
+// clocks all restart at cycle 0 (a restore of every node): a link held
+// until some cycle of the old timeline would otherwise stall the new
+// one's messages until the clocks caught up with it.
+func (n *Network) ReleaseLinks() { clear(n.busy) }
+
 // Send injects a message from src to dst at cycle now and returns its
 // arrival cycle at the destination's network interface. Sending to the
 // local node costs only the interface latency. The dimension-order

@@ -33,30 +33,22 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/vm"
 	"repro/internal/word"
 )
 
-// sortedKeysU64U returns m's keys ascending (deterministic encoding).
-func sortedKeysU64U(m map[uint64]uint) []uint64 {
+// sortedKeys returns m's keys ascending (deterministic encoding).
+func sortedKeys[V any](m map[uint64]V) []uint64 {
 	ks := make([]uint64, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func sortedKeysU64B(m map[uint64]bool) []uint64 {
-	ks := make([]uint64, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	return ks
 }
 
@@ -75,9 +67,7 @@ const (
 	secSwapDropped = 6
 	numSections    = 6
 
-	wordsPerPage = vm.PageSize / word.BytesPerWord // 512
-	tagmapBytes  = wordsPerPage / 8                // 64
-	pageBytes    = tagmapBytes + wordsPerPage*8    // packed page payload
+	pageBytes = mem.PlaneBytes // packed page payload: tag bitmap, then the words
 
 	headerBytes = 8 + 1 + 4 + 8 + 8 + 8 + 4 // magic..nsect, before hcrc
 
@@ -114,53 +104,40 @@ type Header struct {
 
 // --- encoding ----------------------------------------------------------
 
-type sectionBuf struct {
-	id  byte
-	buf []byte
-}
-
-func (s *sectionBuf) u8(v byte) { s.buf = append(s.buf, v) }
-func (s *sectionBuf) u32(v uint32) {
-	s.buf = binary.LittleEndian.AppendUint32(s.buf, v)
-}
-func (s *sectionBuf) u64(v uint64) {
-	s.buf = binary.LittleEndian.AppendUint64(s.buf, v)
-}
-
-func (s *sectionBuf) word(w word.Word) {
+func appendWord(b []byte, w word.Word) []byte {
+	tag := byte(0)
 	if w.Tag {
-		s.u8(1)
-	} else {
-		s.u8(0)
+		tag = 1
 	}
-	s.u64(w.Bits)
+	return binary.LittleEndian.AppendUint64(append(b, tag), w.Bits)
 }
 
-// page appends one page record: vaddr, frame (resident only), packed
-// tag bitmap, then the 512 data words.
-func (s *sectionBuf) page(img kernel.PageImage, withFrame bool) {
-	s.u64(img.VAddr)
-	if withFrame {
-		s.u64(img.Frame)
-	}
-	var tags [tagmapBytes]byte
-	for i, w := range img.Words {
-		if w.Tag {
-			tags[i/8] |= 1 << (i % 8)
-		}
-	}
-	s.buf = append(s.buf, tags[:]...)
-	for _, w := range img.Words {
-		s.u64(w.Bits)
-	}
-}
-
-// pageRecBytes is the size of one page record (sectionBuf.page).
+// pageRecBytes is the size of one page record: vaddr, frame (resident
+// only), then the page's tag and data planes as mem lays them out — the
+// packed tag bitmap, then the 512 data words.
 func pageRecBytes(withFrame bool) int {
 	if withFrame {
 		return 16 + pageBytes
 	}
 	return 8 + pageBytes
+}
+
+// openSection appends section id's header with its length and CRC left
+// zero, to be filled in by closeSection once the payload follows it.
+func openSection(b []byte, id byte) ([]byte, int) {
+	b = append(b, id)
+	b = append(b, make([]byte, sectionHdrBytes-1)...)
+	return b, len(b)
+}
+
+// closeSection back-patches the header of the section whose payload
+// starts at start and runs to the end of b: the u64 length and the u32
+// CRC just before start.
+func closeSection(b []byte, start int) []byte {
+	payload := b[start:]
+	binary.LittleEndian.PutUint64(b[start-12:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(b[start-4:], crc32.ChecksumIEEE(payload))
+	return b
 }
 
 // EncodedSize returns the number of bytes Encode writes for cp, so a
@@ -175,101 +152,93 @@ func EncodedSize(cp *kernel.Checkpoint) int {
 		4 + 8*len(cp.SwapDropped)
 }
 
-// Encode writes cp as one image file body. Page images must hold
-// exactly one page of words (kernel captures always do).
+// Encode writes cp as one image file body: the bytes Marshal returns.
 func Encode(w io.Writer, hdr Header, cp *kernel.Checkpoint) error {
-	for _, img := range cp.Resident {
-		if len(img.Words) != wordsPerPage {
-			return formatErrf("encode: resident page %#x has %d words, want %d", img.VAddr, len(img.Words), wordsPerPage)
-		}
+	b, err := Marshal(hdr, cp)
+	if err != nil {
+		return err
 	}
-	for _, img := range cp.Swapped {
-		if len(img.Words) != wordsPerPage {
-			return formatErrf("encode: swapped page %#x has %d words, want %d", img.VAddr, len(img.Words), wordsPerPage)
-		}
-	}
+	_, err = w.Write(b)
+	return err
+}
+
+// Marshal returns cp encoded as one image file body, built in a single
+// buffer of EncodedSize(cp) bytes: each section's header is written
+// after its payload, and every page is copied once, from its planes.
+func Marshal(hdr Header, cp *kernel.Checkpoint) ([]byte, error) {
 	if hdr.Delta != cp.Delta {
-		return formatErrf("encode: header kind disagrees with image (delta=%v vs %v)", hdr.Delta, cp.Delta)
+		return nil, formatErrf("encode: header kind disagrees with image (delta=%v vs %v)", hdr.Delta, cp.Delta)
 	}
-
-	meta := sectionBuf{id: secMeta}
-	meta.u64(cp.RegionBase)
-	meta.u64(uint64(cp.RegionLog))
-	meta.u64(uint64(cp.NextDomain))
-	meta.u32(uint32(len(cp.Segments)))
-	for _, b := range sortedKeysU64U(cp.Segments) {
-		meta.u64(b)
-		meta.u64(uint64(cp.Segments[b]))
-	}
-	meta.u32(uint32(len(cp.Revoked)))
-	for _, b := range sortedKeysU64B(cp.Revoked) {
-		meta.u64(b)
-	}
-
-	ths := sectionBuf{id: secThreads}
-	ths.u32(uint32(len(cp.Threads)))
-	for _, ti := range cp.Threads {
-		ths.u64(uint64(ti.Domain))
-		ths.u8(byte(ti.State))
-		ths.u64(ti.Instret)
-		ths.word(ti.IPWord)
-		for _, r := range ti.Regs {
-			ths.word(r)
-		}
-	}
-
-	// The page sections are most of an image: size them from their page
-	// counts instead of growing them a word at a time.
-	res := sectionBuf{id: secResident, buf: make([]byte, 0, 4+pageRecBytes(true)*len(cp.Resident))}
-	res.u32(uint32(len(cp.Resident)))
-	for _, img := range cp.Resident {
-		res.page(img, true)
-	}
-	swp := sectionBuf{id: secSwapped, buf: make([]byte, 0, 4+pageRecBytes(false)*len(cp.Swapped))}
-	swp.u32(uint32(len(cp.Swapped)))
-	for _, img := range cp.Swapped {
-		swp.page(img, false)
-	}
-	drp := sectionBuf{id: secDropped}
-	drp.u32(uint32(len(cp.Dropped)))
-	for _, p := range cp.Dropped {
-		drp.u64(p)
-	}
-	sdr := sectionBuf{id: secSwapDropped}
-	sdr.u32(uint32(len(cp.SwapDropped)))
-	for _, p := range cp.SwapDropped {
-		sdr.u64(p)
-	}
-
-	hb := make([]byte, 0, headerBytes+4)
-	hb = append(hb, magicImage...)
+	b := make([]byte, 0, EncodedSize(cp))
+	b = append(b, magicImage...)
 	kind := byte(kindBase)
 	if cp.Delta {
 		kind = kindDelta
 	}
-	hb = append(hb, kind)
-	hb = binary.LittleEndian.AppendUint32(hb, hdr.Node)
-	hb = binary.LittleEndian.AppendUint64(hb, hdr.Gen)
-	hb = binary.LittleEndian.AppendUint64(hb, hdr.Parent)
-	hb = binary.LittleEndian.AppendUint64(hb, hdr.Cycle)
-	hb = binary.LittleEndian.AppendUint32(hb, numSections)
-	hb = binary.LittleEndian.AppendUint32(hb, crc32.ChecksumIEEE(hb))
-	if _, err := w.Write(hb); err != nil {
-		return err
+	b = append(b, kind)
+	b = binary.LittleEndian.AppendUint32(b, hdr.Node)
+	b = binary.LittleEndian.AppendUint64(b, hdr.Gen)
+	b = binary.LittleEndian.AppendUint64(b, hdr.Parent)
+	b = binary.LittleEndian.AppendUint64(b, hdr.Cycle)
+	b = binary.LittleEndian.AppendUint32(b, numSections)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+
+	b, at := openSection(b, secMeta)
+	b = binary.LittleEndian.AppendUint64(b, cp.RegionBase)
+	b = binary.LittleEndian.AppendUint64(b, uint64(cp.RegionLog))
+	b = binary.LittleEndian.AppendUint64(b, uint64(cp.NextDomain))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cp.Segments)))
+	for _, base := range sortedKeys(cp.Segments) {
+		b = binary.LittleEndian.AppendUint64(b, base)
+		b = binary.LittleEndian.AppendUint64(b, uint64(cp.Segments[base]))
 	}
-	for _, s := range []*sectionBuf{&meta, &ths, &res, &swp, &drp, &sdr} {
-		sh := make([]byte, 0, sectionHdrBytes)
-		sh = append(sh, s.id)
-		sh = binary.LittleEndian.AppendUint64(sh, uint64(len(s.buf)))
-		sh = binary.LittleEndian.AppendUint32(sh, crc32.ChecksumIEEE(s.buf))
-		if _, err := w.Write(sh); err != nil {
-			return err
-		}
-		if _, err := w.Write(s.buf); err != nil {
-			return err
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cp.Revoked)))
+	for _, base := range sortedKeys(cp.Revoked) {
+		b = binary.LittleEndian.AppendUint64(b, base)
+	}
+	b = closeSection(b, at)
+
+	b, at = openSection(b, secThreads)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cp.Threads)))
+	for _, ti := range cp.Threads {
+		b = binary.LittleEndian.AppendUint64(b, uint64(ti.Domain))
+		b = append(b, byte(ti.State))
+		b = binary.LittleEndian.AppendUint64(b, ti.Instret)
+		b = appendWord(b, ti.IPWord)
+		for _, r := range ti.Regs {
+			b = appendWord(b, r)
 		}
 	}
-	return nil
+	b = closeSection(b, at)
+
+	for _, sec := range []struct {
+		id        byte
+		imgs      []kernel.PageImage
+		withFrame bool
+	}{{secResident, cp.Resident, true}, {secSwapped, cp.Swapped, false}} {
+		b, at = openSection(b, sec.id)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(sec.imgs)))
+		for _, img := range sec.imgs {
+			b = binary.LittleEndian.AppendUint64(b, img.VAddr)
+			if sec.withFrame {
+				b = binary.LittleEndian.AppendUint64(b, img.Frame)
+			}
+			b = img.Page.AppendPlanes(b)
+		}
+		b = closeSection(b, at)
+	}
+	for _, sec := range []struct {
+		id    byte
+		pages []uint64
+	}{{secDropped, cp.Dropped}, {secSwapDropped, cp.SwapDropped}} {
+		b, at = openSection(b, sec.id)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(sec.pages)))
+		for _, p := range sec.pages {
+			b = binary.LittleEndian.AppendUint64(b, p)
+		}
+		b = closeSection(b, at)
+	}
+	return b, nil
 }
 
 // --- decoding ----------------------------------------------------------
@@ -331,7 +300,8 @@ func (r *reader) word() (word.Word, bool) {
 	return word.Word{Bits: bits, Tag: tag == 1}, true
 }
 
-// decodePage reads one page record from a section payload.
+// decodePage reads one page record from a section payload, building
+// the page straight from its planes.
 func (r *reader) decodePage(withFrame bool) (kernel.PageImage, bool) {
 	var img kernel.PageImage
 	var ok bool
@@ -343,18 +313,11 @@ func (r *reader) decodePage(withFrame bool) (kernel.PageImage, bool) {
 			return img, false
 		}
 	}
-	tags, ok := r.bytes(tagmapBytes)
+	planes, ok := r.bytes(pageBytes)
 	if !ok {
 		return img, false
 	}
-	img.Words = make([]word.Word, wordsPerPage)
-	for i := range img.Words {
-		bits, ok := r.u64()
-		if !ok {
-			return img, false
-		}
-		img.Words[i] = word.Word{Bits: bits, Tag: tags[i/8]&(1<<(i%8)) != 0}
-	}
+	img.Page = mem.PageFromPlanes(planes)
 	return img, true
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/kernel"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/vm"
 	"repro/internal/word"
 )
@@ -67,13 +68,13 @@ func persistKernel(t *testing.T) (*kernel.Kernel, *machine.Thread) {
 // syntheticImage builds a fully-populated checkpoint by hand — no
 // machine required — for format round-trip tests.
 func syntheticImage(delta bool) *kernel.Checkpoint {
-	wordsPerPage := vm.PageSize / word.BytesPerWord
 	mkPage := func(va, frame, seed uint64) kernel.PageImage {
-		img := kernel.PageImage{VAddr: va, Frame: frame, Words: make([]word.Word, wordsPerPage)}
-		for i := range img.Words {
-			img.Words[i] = word.Word{Bits: seed + uint64(i)*3, Tag: i%7 == 0}
+		m := mem.New(vm.PageSize)
+		for i := range uint64(mem.PageWords) {
+			_ = m.WriteWord(i*word.BytesPerWord, word.Word{Bits: seed + i*3, Tag: i%7 == 0})
 		}
-		return img
+		pg, _ := m.Snapshot(0)
+		return kernel.PageImage{VAddr: va, Frame: frame, Page: pg}
 	}
 	cp := &kernel.Checkpoint{
 		RegionBase: 1 << 40,
@@ -138,7 +139,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			len(got.Threads) != len(cp.Threads) || got.Delta != delta {
 			t.Errorf("delta=%v: image fields lost in round trip", delta)
 		}
-		if got.Resident[0].Words[7].Tag != cp.Resident[0].Words[7].Tag {
+		if got.Resident[0].Page.Word(7) != cp.Resident[0].Page.Word(7) {
 			t.Errorf("delta=%v: tag bits lost", delta)
 		}
 	}

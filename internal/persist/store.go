@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -256,18 +255,17 @@ func (st *Store) WriteGeneration(gen, parent, cycle uint64, cps []*kernel.Checkp
 
 	g := &genInfo{gen: gen, parent: parent, cycle: cycle, delta: delta}
 	for i, cp := range cps {
-		var buf bytes.Buffer
-		buf.Grow(EncodedSize(cp))
 		hdr := Header{Node: uint32(i), Gen: gen, Parent: parent, Cycle: cycle, Delta: delta}
-		if err := Encode(&buf, hdr, cp); err != nil {
+		buf, err := Marshal(hdr, cp)
+		if err != nil {
 			return err
 		}
 		name := imageName(gen, i)
-		if err := st.writeAtomic(name, buf.Bytes()); err != nil {
+		if err := st.writeAtomic(name, buf); err != nil {
 			return fmt.Errorf("persist: write %s: %w", name, err)
 		}
 		g.files = append(g.files, memberInfo{
-			name: name, size: uint64(buf.Len()), crc: crc32.ChecksumIEEE(buf.Bytes()),
+			name: name, size: uint64(len(buf)), crc: crc32.ChecksumIEEE(buf),
 		})
 		if delta {
 			st.stats.DeltaPages += uint64(len(cp.Resident) + len(cp.Swapped))

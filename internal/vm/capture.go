@@ -3,7 +3,7 @@ package vm
 import (
 	"sort"
 
-	"repro/internal/word"
+	"repro/internal/mem"
 )
 
 // This file is the translation layer's side of incremental
@@ -12,7 +12,7 @@ import (
 // tracking the two mutations dirty bits cannot express — fresh mappings
 // (a re-map after a free can reuse a frame with new contents and a
 // clean PTE) and backing-store writes (swap-out, checkpoint swap
-// restore, ZeroWords scrubbing a swapped page in place).
+// restore, ZeroWords scrubbing a swapped page).
 
 // CollectDirty returns the base address of every resident page whose
 // dirty bit is set, in ascending page order. When clear is set the bits
@@ -95,14 +95,12 @@ func (s *Space) DrainCaptureTouched() (freshMapped, swapTouched []uint64) {
 	return freshMapped, swapTouched
 }
 
-// SwapPage returns a copy of one backing-store page (by any address
-// within it) and whether it exists.
-func (s *Space) SwapPage(vaddr uint64) ([]word.Word, bool) {
-	buf, ok := s.swap[vaddr&^uint64(PageMask)]
-	if !ok {
-		return nil, false
-	}
-	return append([]word.Word(nil), buf...), true
+// SwapPage returns one backing-store page (by any address within it)
+// and whether it exists. The page is shared, not copied: nothing writes
+// a stored page (a nil page is a page of untagged zeros).
+func (s *Space) SwapPage(vaddr uint64) (*mem.Page, bool) {
+	pg, ok := s.swap[vaddr&^uint64(PageMask)]
+	return pg, ok
 }
 
 // SwapPageList returns the base address of every backing-store page,

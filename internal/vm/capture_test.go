@@ -106,8 +106,8 @@ func TestCaptureTracking(t *testing.T) {
 	if len(fresh) != 0 {
 		t.Fatalf("unexpected fresh mappings %v", fresh)
 	}
-	// ZeroWords scrubbing a swapped page in place is a content change
-	// with no resident dirty bit anywhere.
+	// ZeroWords scrubbing a swapped page is a content change with no
+	// resident dirty bit anywhere.
 	if err := s.ZeroWords(pa, pa+64); err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,7 @@ func TestCaptureTracking(t *testing.T) {
 		t.Fatalf("re-map not tracked: %v", fresh)
 	}
 
-	words := make([]word.Word, PageSize/word.BytesPerWord)
-	if err := s.RestoreSwapPage(0x30000, words); err != nil {
+	if err := s.RestoreSwapPage(0x30000, nil); err != nil { // a page of zeros
 		t.Fatal(err)
 	}
 	_, touched = s.DrainCaptureTouched()
@@ -162,9 +161,17 @@ func TestSwapPageAccessors(t *testing.T) {
 	if got := s.SwapPageList(); len(got) != 1 || got[0] != page {
 		t.Fatalf("SwapPageList = %v", got)
 	}
-	buf, ok := s.SwapPage(page + 24) // any address within the page
-	if !ok || buf[2].Int() != 42 {
-		t.Fatalf("SwapPage = %v, %v", buf, ok)
+	pg, ok := s.SwapPage(page + 24) // any address within the page
+	if !ok || pg.Word(2).Int() != 42 {
+		t.Fatalf("SwapPage = %v, %v", pg.Word(2), ok)
+	}
+	// Scrubbing the swapped page replaces it in the store: a page handed
+	// out earlier keeps its words.
+	if err := s.ZeroWords(page, page+PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := s.SwapPage(page); now.Word(2).Int() != 0 || pg.Word(2).Int() != 42 {
+		t.Fatalf("after ZeroWords: stored word %v, earlier page's word %v", now.Word(2), pg.Word(2))
 	}
 	if _, ok := s.SwapPage(0x99000); ok {
 		t.Fatal("SwapPage of absent page reported ok")

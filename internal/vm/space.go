@@ -36,15 +36,15 @@ type Space struct {
 	OnUnmap func(vaddr, size uint64)
 
 	stats     SpaceStats
-	swap      map[uint64]swapPage
+	swap      map[uint64]*mem.Page
 	swapStats SwapStats
 
 	// Incremental-checkpoint mutation tracking (capture.go): armed by
 	// StartCaptureTracking, drained at each capture barrier. freshMaps
 	// records pages newly entered into the page table (their PTE starts
 	// clean even when the frame's contents are new); touchedSwap records
-	// backing-store pages whose buffers changed (swap-out, restore,
-	// in-place scrub) — mutations no resident dirty bit can witness.
+	// backing-store pages whose contents changed (swap-out, restore,
+	// scrub) — mutations no resident dirty bit can witness.
 	track       bool
 	freshMaps   map[uint64]struct{}
 	touchedSwap map[uint64]struct{}

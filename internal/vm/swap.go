@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 
+	"repro/internal/mem"
 	"repro/internal/telemetry"
 	"repro/internal/word"
 )
@@ -16,7 +17,14 @@ import (
 //
 // Swapped pages preserve their tag bits: capabilities survive a round
 // trip through the backing store, which is essential — paging out a
-// segment full of pointers must not launder or destroy them.
+// segment full of pointers must not launder or destroy them. The store
+// holds the physical memory's own storage pages (mem.Page): a swap-out
+// snapshots the frame's page and a swap-in adopts it, so neither copies
+// the words, and a checkpoint shares the stored pages the same way.
+
+// A page is one storage page of physical memory, so a frame's snapshot
+// is the whole page (this fails to compile if the sizes ever differ).
+var _ = [1]struct{}{}[PageSize-mem.PageWords*word.BytesPerWord]
 
 // SwapStats counts backing-store traffic.
 type SwapStats struct {
@@ -24,13 +32,10 @@ type SwapStats struct {
 	SwapIns  uint64
 }
 
-// swapPage is one page of data+tags in the backing store.
-type swapPage []word.Word
-
 // EnsureSwap lazily creates the backing store.
 func (s *Space) ensureSwap() {
 	if s.swap == nil {
-		s.swap = make(map[uint64]swapPage)
+		s.swap = make(map[uint64]*mem.Page)
 	}
 }
 
@@ -56,11 +61,11 @@ func (s *Space) SwapOut(vaddr uint64) error {
 		return fmt.Errorf("vm: swap-out of non-resident page %#x", page)
 	}
 	s.ensureSwap()
-	buf := make(swapPage, PageSize/word.BytesPerWord)
-	if err := s.Phys.ReadWords(pte.Frame, buf); err != nil {
+	pg, err := s.Phys.Snapshot(pte.Frame)
+	if err != nil {
 		return err
 	}
-	s.swap[page] = buf
+	s.swap[page] = pg
 	s.trackSwap(page)
 	s.PT.Unmap(page)
 	s.TLB.Invalidate(page)
@@ -80,7 +85,7 @@ func (s *Space) SwapOut(vaddr uint64) error {
 // (evicting another page if necessary).
 func (s *Space) SwapIn(vaddr uint64) error {
 	page := vaddr &^ uint64(PageMask)
-	buf, ok := s.swap[page]
+	pg, ok := s.swap[page]
 	if !ok {
 		return fmt.Errorf("vm: swap-in of page %#x not in backing store", page)
 	}
@@ -88,7 +93,7 @@ func (s *Space) SwapIn(vaddr uint64) error {
 	if err != nil {
 		return fmt.Errorf("vm: swap-in of %#x: %w", page, err)
 	}
-	if err := s.Phys.WriteWords(frame, buf); err != nil {
+	if err := s.Phys.Adopt(frame, pg); err != nil {
 		return err
 	}
 	if err := s.PT.Map(page, frame); err != nil {
@@ -123,8 +128,9 @@ func (s *Space) ResidentPages() []uint64 {
 
 // ZeroWords zeroes the word range [lo, hi) wherever the words
 // currently live: resident pages are written through physical memory,
-// swapped pages are scrubbed in the backing store, and pages that were
-// never materialized are already zero by definition (demand-zero).
+// a swapped page is replaced in the backing store by a copy with the
+// range cleared, and pages that were never materialized are already
+// zero by definition (demand-zero).
 func (s *Space) ZeroWords(lo, hi uint64) error {
 	if hi <= lo {
 		return nil
@@ -137,10 +143,8 @@ func (s *Space) ZeroWords(lo, hi uint64) error {
 		if phi > hi {
 			phi = hi
 		}
-		if buf, ok := s.swap[page]; ok {
-			for a := plo; a < phi; a += word.BytesPerWord {
-				buf[(a-page)/word.BytesPerWord] = word.Word{}
-			}
+		if pg, ok := s.swap[page]; ok {
+			s.swap[page] = pg.Cleared(int(plo-page)/word.BytesPerWord, int(phi-page)/word.BytesPerWord)
 			s.trackSwap(page)
 			continue
 		}
@@ -157,16 +161,15 @@ func (s *Space) ZeroWords(lo, hi uint64) error {
 }
 
 // RestoreSwapPage installs a page image directly into the backing
-// store — the restore path for checkpointed swap state.
-func (s *Space) RestoreSwapPage(page uint64, words []word.Word) error {
+// store — the restore path for checkpointed swap state. The store
+// shares pg: no path writes a stored page, and ZeroWords replaces one
+// instead of clearing it in place.
+func (s *Space) RestoreSwapPage(page uint64, pg *mem.Page) error {
 	if page&uint64(PageMask) != 0 {
 		return fmt.Errorf("vm: swap restore of unaligned page %#x", page)
 	}
-	if len(words) != PageSize/word.BytesPerWord {
-		return fmt.Errorf("vm: swap restore of %d words, want %d", len(words), PageSize/word.BytesPerWord)
-	}
 	s.ensureSwap()
-	s.swap[page] = append(swapPage(nil), words...)
+	s.swap[page] = pg
 	s.trackSwap(page)
 	return nil
 }
