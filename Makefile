@@ -74,7 +74,9 @@ race:
 # Compiled-tier differential gate (docs/PERFORMANCE.md): the E27
 # interp-vs-translator census, the root determinism corpus, the
 # translator's own unit tests, the op-by-op proven-vs-checked dispatch
-# property and the SMC and stats invariants in internal/machine,
+# property and the SMC and stats invariants in internal/machine, Run
+# against a Step loop (its lone-thread cases check the back-to-back
+# issue rule compiled blocks share with the interpreter),
 # interpreter/translator agreement on the mesh, the verifier's per-site
 # table contract, and the mmsim CLI byte-identity / -verify refusal
 # tests.
@@ -82,7 +84,8 @@ jit:
 	$(GO) run ./cmd/experiments -run E27
 	$(GO) test -run 'TestJITDifferentialCorpus' .
 	$(GO) test ./internal/jit/
-	$(GO) test -run 'TestJIT' ./internal/machine/ ./internal/multi/ ./cmd/mmsim/
+	$(GO) test -run 'TestJIT|TestRunMatchesStepLoop' ./internal/machine/
+	$(GO) test -run 'TestJIT' ./internal/multi/ ./cmd/mmsim/
 	$(GO) test -run 'TestSite' ./internal/capverify/
 
 # Capability-flow gate: the E30 flow-vs-register-only differential with

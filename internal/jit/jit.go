@@ -93,14 +93,11 @@ type Config struct {
 	Threshold int
 	// MaxBlock caps a block's length in instructions (default 64).
 	MaxBlock int
-	// ChainBudget caps how many steps a whole-block executor may run
-	// per machine-loop entry, bounding loop-chaining (default 256).
-	ChainBudget int
 }
 
 // DefaultConfig returns the standard thresholds.
 func DefaultConfig() Config {
-	return Config{Threshold: 64, MaxBlock: 64, ChainBudget: 256}
+	return Config{Threshold: 64, MaxBlock: 64}
 }
 
 func (c Config) withDefaults() Config {
@@ -109,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBlock <= 0 {
 		c.MaxBlock = 64
-	}
-	if c.ChainBudget <= 0 {
-		c.ChainBudget = 256
 	}
 	return c
 }
@@ -166,10 +160,6 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	return &Engine{cfg: cfg.withDefaults(), CompileLatency: telemetry.NewHistogram()}
 }
-
-// ChainBudget returns the per-entry step budget for whole-block
-// execution.
-func (e *Engine) ChainBudget() int { return e.cfg.ChainBudget }
 
 // Dead reports whether a write into registered code voided all proofs
 // and permanently disabled the translator.

@@ -174,8 +174,10 @@ func (k *Kernel) reap() int {
 
 // RunScheduled drives the machine like Run but reaps finished threads
 // and dispatches queued process threads as slots free up, so workloads
-// larger than the hardware thread count complete. It returns the
-// cycles executed.
+// larger than the hardware thread count complete. It calls Step once
+// per cycle, with no fast-forward and no back-to-back issue (both
+// happen only inside Run), and returns the cycles executed, by which
+// the machine's cycle count has advanced.
 func (k *Kernel) RunScheduled(maxCycles uint64) uint64 {
 	var c uint64
 	for c = 0; c < maxCycles; c++ {

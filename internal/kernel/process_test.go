@@ -3,6 +3,8 @@ package kernel
 import (
 	"testing"
 
+	"repro/internal/capverify"
+	"repro/internal/jit"
 	"repro/internal/machine"
 	"repro/internal/vm"
 	"repro/internal/word"
@@ -183,6 +185,33 @@ func TestRunScheduledStopsAtBudget(t *testing.T) {
 	c := k.RunScheduled(500)
 	if c != 500 {
 		t.Errorf("ran %d cycles, want budget 500", c)
+	}
+}
+
+// TestRunScheduledStopsAtBudgetJIT: RunScheduled steps one cycle at a
+// time with the translator on too, so a lone thread looping inside a
+// compiled block advances the machine by exactly the count returned.
+func TestRunScheduledStopsAtBudgetJIT(t *testing.T) {
+	k := testKernel(t)
+	k.M.EnableJIT(jit.DefaultConfig())
+	prog := mustAssemble("loop: addi r2, r2, 1\nbr loop")
+	p := k.NewProcess()
+	ip, err := p.LoadProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.M.JITRegister(prog, ip.Addr(), capverify.Config{})
+	if err := p.Start(ip, nil); err != nil {
+		t.Fatal(err)
+	}
+	start := k.M.Cycle()
+	c := k.RunScheduled(500)
+	if c != 500 || k.M.Cycle()-start != 500 {
+		t.Errorf("RunScheduled(500) returned %d and ran the machine %d cycles, want 500 and 500",
+			c, k.M.Cycle()-start)
+	}
+	if e := k.M.JIT().Counters.Entries; e == 0 {
+		t.Fatalf("translator never engaged: %+v", k.M.JIT().Counters)
 	}
 }
 

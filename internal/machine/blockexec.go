@@ -88,21 +88,12 @@ func (m *Machine) jitStep(t *Thread) bool {
 // branch that leaves feeds the heat counters, so blocks reachable only
 // from compiled code still get discovered.
 //
-// Unless whole, one step runs per call and the cursor is left on the
-// next, so the Step loop does the per-cycle accounting, as machines
-// with other agents acting between cycles need: sibling threads,
-// deferred remote traffic, the scrubber. whole — a single thread and
-// none of those — keeps going inside this one Step and applies per
-// extra step the accounting Step would have: one cycle, one issue
-// packet on this cluster, one idle cycle on each other. It stops with
-// the cursor set when t blocks, at the chain budget, and at the Run
-// cap, so Run(n) consumes the same n cycles with the translator on or
-// off.
+// The next step runs on the next cycle inside this Step when lone(t)
+// holds, after tick; otherwise the cursor is left on it, and the Step
+// loop does the per-cycle accounting before it runs.
 func (m *Machine) runBlock(t *Thread, blk *jit.Block, idx int) {
-	whole := len(m.threads) == 1 && m.Remote == nil && m.scrubEvery == 0
-	budget, idle := m.jit.ChainBudget(), uint64(m.cfg.Clusters-1)
 	steps := blk.Steps
-	for issued := 1; ; issued++ {
+	for {
 		s := &steps[idx]
 		// Translate the fetch address every step, hit-path style (see
 		// fetchDecoded): keeps TLB counters and fetch page faults
@@ -126,17 +117,10 @@ func (m *Machine) runBlock(t *Thread, blk *jit.Block, idx int) {
 		if !blk.Valid || idx == len(steps) {
 			return
 		}
-		// The next step would execute at cycle m.cycle+1; a Run cap
-		// means the interpreter would have stopped before it.
-		if !whole || t.State != Ready || issued >= budget ||
-			(m.runLimit != 0 && m.cycle+1 >= m.runLimit) {
+		if !m.lone(t) {
 			t.jblk, t.jidx = blk, idx
 			return
 		}
-		m.cycle++
-		m.now = m.cycle
-		m.stats.Cycles++
-		m.stats.IssuePackets++
-		m.stats.IdleCycles += idle
+		m.tick()
 	}
 }

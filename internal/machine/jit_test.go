@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/capverify"
@@ -223,5 +224,62 @@ func TestJITMatchesInterpreterStats(t *testing.T) {
 	if r1i != r1j || ii != ij || si != sj {
 		t.Errorf("divergence:\ninterp r1=%d instret=%d %+v\njit    r1=%d instret=%d %+v",
 			r1i, ii, si, r1j, ij, sj)
+	}
+}
+
+// TestJITStepIsOneCycle: outside Run a Step is one cycle on either
+// tier. A lone thread spinning through a compiled block issues one step
+// per Step and resumes from its cursor on the next.
+func TestJITStepIsOneCycle(t *testing.T) {
+	m, err := New(MMachine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := jitLoadAt(t, m, "loop: addi r3, r3, 1\nbr loop", 0x10000)
+	th := m.threads[0]
+	for i := 0; i < 256; i++ { // spin long enough to compile the branch
+		m.Step()
+	}
+	if eng.Counters.Entries == 0 {
+		t.Fatalf("spin loop never entered a compiled block: %+v", eng.Counters)
+	}
+	for i := 0; i < 100; i++ {
+		if th.jblk == nil {
+			t.Fatalf("step %d: thread not inside a compiled block", i)
+		}
+		cycle, instret := m.Cycle(), th.Instret
+		m.Step()
+		if m.Cycle() != cycle+1 || th.Instret != instret+1 {
+			t.Fatalf("one Step at cycle %d ran %d cycles and %d instructions, want 1 and 1",
+				cycle, m.Cycle()-cycle, th.Instret-instret)
+		}
+	}
+	if s := m.Stats(); s.Cycles != m.Cycle() || s.Instructions != m.Cycle() {
+		t.Errorf("stats count %d cycles and %d instructions over %d cycles", s.Cycles, s.Instructions, m.Cycle())
+	}
+}
+
+// TestJITWideIssueMatchesInterpreter: under wide issue each Step builds
+// one packet, so a lone thread's compiled blocks must not go on issuing
+// on later cycles inside it. Runs with the translator on and off agree
+// on every counter and on the thread's state.
+func TestJITWideIssueMatchesInterpreter(t *testing.T) {
+	wide := MMachine()
+	wide.WideIssue = true
+	for _, seed := range []int64{12, 16} {
+		interp := newRunMachine(t, runCase{cfg: wide, threads: 1, seed: seed})
+		comp := newRunMachine(t, runCase{cfg: wide, threads: 1, jit: true, seed: seed})
+		interp.Run(2_000_000)
+		comp.Run(2_000_000)
+		if !interp.Done() {
+			t.Fatalf("seed %d: workload did not finish", seed)
+		}
+		sameMachine(t, fmt.Sprintf("seed %d", seed), interp, comp)
+		if comp.JIT().Counters.Entries == 0 {
+			t.Fatalf("seed %d: translator never engaged: %+v", seed, comp.JIT().Counters)
+		}
+		if s := interp.Stats(); s.Instructions <= s.IssuePackets {
+			t.Fatalf("seed %d: no packet issued two instructions: %+v", seed, s)
+		}
 	}
 }

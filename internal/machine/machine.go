@@ -248,10 +248,15 @@ type Machine struct {
 	scrubWords int
 
 	// runLimit is the absolute cycle bound of the Run call in progress
-	// (0 = none). The compiled-block executor reads it so whole-block
-	// chaining stops exactly at the cap — Run(n) consumes the same n
-	// cycles with the translator on or off.
+	// (0 = none). lone reads it, so a lone thread's back-to-back issue
+	// stops exactly at the cap and never happens outside Run.
 	runLimit uint64
+
+	// stallEnd is the end of the latest domain-switch stall window on
+	// any cluster. A window can outlive its threads when the owner
+	// marks them done and removes them; lone waits it out, so tick
+	// never credits a stalled cluster as idle.
+	stallEnd uint64
 
 	OnTrap  TrapHandler
 	OnFault FaultHandler
@@ -523,6 +528,11 @@ func (m *Machine) Done() bool {
 // a ready thread (round-robin) and executes one instruction. With
 // DeferRemote set, remote accesses issued this cycle are parked on the
 // pending queue; the owner must call ServiceRemote afterwards.
+//
+// Called directly, Step is exactly one cycle on either tier. Only
+// inside Run may a lone thread go on issuing on the following cycles
+// within the same Step (lone), each extra cycle credited as its own
+// Step would credit it (tick).
 func (m *Machine) Step() {
 	m.now = m.cycle
 	for _, cl := range m.clusters {
@@ -532,6 +542,31 @@ func (m *Machine) Step() {
 	m.stats.Cycles++
 }
 
+// lone reports whether t, having just issued at m.cycle, issues again
+// at m.cycle+1 inside the same Step. That needs a Run call in progress
+// with a cycle left before its cap, t the machine's only thread and
+// ready, and nothing that acts between cycles: no remote engine, no
+// scrubber, no wide issue (one packet per Step), and no stall window
+// still open on an emptied cluster. The first two compares reject a
+// Step-driven machine (a mesh node) and a multithreaded one.
+func (m *Machine) lone(t *Thread) bool {
+	return m.cycle+1 < m.runLimit && len(m.threads) == 1 && t.State == Ready &&
+		m.Remote == nil && m.scrubEvery == 0 && !m.cfg.WideIssue && m.stallEnd <= m.cycle+1
+}
+
+// tick moves the lone thread's issue on to the next cycle. It credits
+// what Step credits for a cycle on which only that thread's cluster
+// issues: the cycle, one issue packet, and an idle cycle on each other
+// cluster (none is stalled while lone holds). The Step in progress
+// closes the last cycle as usual.
+func (m *Machine) tick() {
+	m.cycle++
+	m.now = m.cycle
+	m.stats.Cycles++
+	m.stats.IssuePackets++
+	m.stats.IdleCycles += uint64(m.cfg.Clusters - 1)
+}
+
 // Run steps until every thread is done or maxCycles elapse; it returns
 // the number of cycles executed.
 //
@@ -539,20 +574,22 @@ func (m *Machine) Step() {
 // first cycle at which one could (nextIssueCycle) and credits the
 // skipped cycles exactly as the Steps would have (skipTo), so stats,
 // cycle counts and architectural state match a plain Step loop bit for
-// bit. The jump stops at the cap and at every scrub tick.
+// bit. The jump stops at the cap and at every scrub tick. A lone thread
+// issues back-to-back inside one Step (lone, tick) up to the cap.
 //
 // The background memory scrubber (if configured) ticks here rather
 // than in Step. Callers that drive Step directly act between cycles —
 // the multicomputer barrier loop services remote accesses (and brings
 // its own recovery machinery), kernel.RunScheduled reaps and spawns
-// threads, the Debugger checks breakpoints — so they neither scrub nor
-// fast-forward.
+// threads, the Debugger checks breakpoints — so they neither scrub,
+// fast-forward nor batch.
 func (m *Machine) Run(maxCycles uint64) uint64 {
 	start := m.cycle
-	if limit := start + maxCycles; limit > start {
-		m.runLimit = limit
-		defer func() { m.runLimit = 0 }()
+	m.runLimit = start + maxCycles
+	if m.runLimit < start {
+		m.runLimit = ^uint64(0)
 	}
+	defer func() { m.runLimit = 0 }()
 	for !m.Done() && m.cycle-start < maxCycles {
 		if next := m.nextIssueCycle(); next-m.cycle > 1 {
 			if next-start > maxCycles {
@@ -644,6 +681,7 @@ func (m *Machine) stepCluster(cl *clusterState) {
 					// before the thread may issue: stall the cluster
 					// and destroy the stale state.
 					cl.stallUntil = m.cycle + penalty
+					m.stallEnd = max(m.stallEnd, cl.stallUntil)
 					cl.lastThread = t
 					m.stats.StallCycles++
 					return
@@ -658,6 +696,10 @@ func (m *Machine) stepCluster(cl *clusterState) {
 		return
 	}
 	m.execute(t)
+	for m.lone(t) {
+		m.tick()
+		m.execute(t)
+	}
 }
 
 // switchPenalty applies the selected scheme's domain-switch cost and

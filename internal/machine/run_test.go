@@ -74,11 +74,12 @@ type runCase struct {
 	cfg     Config
 	threads int
 	jit     bool
+	seed    int64
 }
 
-// newRunMachine builds the case's machine with one seeded program per
-// thread, each thread in its own protection domain.
-func newRunMachine(t *testing.T, c runCase, seed int64) *Machine {
+// newRunMachine builds the case's machine with one program per thread,
+// drawn from the case's seed, each thread in its own protection domain.
+func newRunMachine(t *testing.T, c runCase) *Machine {
 	t.Helper()
 	m, err := New(c.cfg)
 	if err != nil {
@@ -97,7 +98,7 @@ func newRunMachine(t *testing.T, c runCase, seed int64) *Machine {
 		th.SetReg(3, word.FromInt(int64(m.Cycle())+code))
 		return nil
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(c.seed))
 	for i := 0; i < c.threads; i++ {
 		src := runProgram(rng)
 		base := 0x10000 + uint64(i)*0x1000
@@ -167,24 +168,31 @@ func TestRunMatchesStepLoop(t *testing.T) {
 	scrub := testConfig()
 	scrub.ScrubEvery = 37
 	scrub.ScrubWords = 16
+	// The lone cases run one thread, which issues back-to-back inside
+	// Run's Steps (lone) and one cycle per Step in the reference loop.
+	// Their seeds give programs with traps, misses and, under the
+	// translator, compiled blocks that run.
 	cases := []runCase{
-		{"mmachine-8", MMachine(), 8, false},
-		{"mmachine-16", MMachine(), 16, false},
-		{"test-2x2", testConfig(), 4, false},
-		{"flush-tlb", flushTLB, 8, false},
-		{"flush-all", flushAll, 4, false},
-		{"wide", wide, 8, false},
-		{"jit", MMachine(), 8, true},
-		{"jit-2x2", testConfig(), 3, true},
-		{"scrub", scrub, 4, false},
+		{"mmachine-8", MMachine(), 8, false, 1000},
+		{"mmachine-16", MMachine(), 16, false, 1001},
+		{"test-2x2", testConfig(), 4, false, 1002},
+		{"flush-tlb", flushTLB, 8, false, 1003},
+		{"flush-all", flushAll, 4, false, 1004},
+		{"wide", wide, 8, false, 1005},
+		{"jit", MMachine(), 8, true, 1006},
+		{"jit-2x2", testConfig(), 3, true, 1007},
+		{"scrub", scrub, 4, false, 1008},
+		{"lone", MMachine(), 1, false, 0},
+		{"lone-jit", MMachine(), 1, true, 12},
+		{"lone-flush-tlb", flushTLB, 1, false, 3},
+		{"lone-jit-2x2", testConfig(), 1, true, 16},
+		{"lone-scrub", scrub, 1, false, 5},
 	}
 	const limit = 2_000_000
-	for ci, c := range cases {
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			seed := int64(1000 + ci)
-
 			// One Run call against one Step loop, both to completion.
-			ref, run := newRunMachine(t, c, seed), newRunMachine(t, c, seed)
+			ref, run := newRunMachine(t, c), newRunMachine(t, c)
 			for !ref.Done() && ref.Cycle() < limit {
 				refStep(ref)
 			}
@@ -203,8 +211,8 @@ func TestRunMatchesStepLoop(t *testing.T) {
 			// Chunked Run calls of random length, each checked against
 			// a Step loop with the same cap; count the chunks whose cap
 			// fell where no thread could issue.
-			ref, run = newRunMachine(t, c, seed), newRunMachine(t, c, seed)
-			rng := rand.New(rand.NewSource(seed))
+			ref, run = newRunMachine(t, c), newRunMachine(t, c)
+			rng := rand.New(rand.NewSource(c.seed))
 			idleCaps := 0
 			for !run.Done() && run.Cycle() < limit {
 				k := 1 + uint64(rng.Intn(300))
@@ -239,6 +247,60 @@ func TestRunMatchesStepLoop(t *testing.T) {
 				t.Fatal("no Run cap landed inside an idle span")
 			}
 		})
+	}
+}
+
+// TestRunMatchesStepLoopAfterStalledClusterEmptied: a domain-switch
+// stall outlives its cluster's threads when the owner marks them done
+// and removes them. The thread left on another cluster then issues
+// alone, and Run must still count the window's cycles on the emptied
+// cluster as stalled, as a Step loop does, not as idle.
+func TestRunMatchesStepLoopAfterStalledClusterEmptied(t *testing.T) {
+	build := func() *Machine {
+		cfg := testConfig()
+		cfg.Scheme = SchemeFlushTLB
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spin := loadAt(t, m, "l: addi r3, r3, 1\nbr l\n", 0x10000, false)
+		quick := loadAt(t, m, "halt\n", 0x11000, false)
+		// Cluster 0: a spinner in domain 0 and, in slot 1, which issues
+		// first, a thread in domain 1 that halts at once. Cluster 1:
+		// the spinner that is left alone.
+		for i, ip := range []core.Pointer{spin, quick, spin} {
+			th, err := m.AddThread(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := th.SetIP(ip); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Step() // the quick thread halts
+		m.Step() // the spinner takes cluster 0 across domains: it stalls
+		if until := m.clusters[0].stallUntil; until <= m.Cycle()+1 {
+			t.Fatalf("cluster 0 stalls until %d at cycle %d", until, m.Cycle())
+		}
+		a, b := m.threads[0], m.threads[1]
+		a.State = Halted
+		for _, th := range []*Thread{a, b} {
+			if err := m.RemoveThread(th); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	ref, run := build(), build()
+	for i := 0; i < 20; i++ {
+		ref.Step()
+	}
+	if n := run.Run(20); n != 20 {
+		t.Fatalf("Run(20) ran %d cycles", n)
+	}
+	sameMachine(t, "after the stall", ref, run)
+	if got, want := ref.Stats().StallCycles, ref.Config().SwitchPenalty; got != want {
+		t.Fatalf("stall cycles %d, want the whole %d-cycle window", got, want)
 	}
 }
 
@@ -360,9 +422,9 @@ sweep:
 // an ALU loop or a load/store sweep (fifteen empty slots, three empty
 // clusters), and eight threads in eight domains streaming past the
 // cache, where most cluster-cycles are idle. The -jit rows run the same
-// programs under the translator: a lone thread runs whole compiled
-// blocks per Step, the eight streams step through theirs one
-// instruction per cycle. One op is Run(4096); sim-instr/s is the
+// programs under the translator. On either tier a lone thread issues
+// back-to-back inside Run's Steps, and the eight streams issue one
+// instruction per cycle each. One op is Run(4096); sim-instr/s is the
 // comparable figure. Run must not allocate.
 func BenchmarkRun(b *testing.B) {
 	b.Run("alu-1thread", func(b *testing.B) { benchRun(b, runALU, 1, false) })
