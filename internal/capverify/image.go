@@ -19,12 +19,6 @@ type Config struct {
 	// execute-privileged pointer (LoadProgram's priv argument).
 	Privileged bool
 
-	// MaxTargets caps how many candidate targets an indirect jump with
-	// an inexact pointer may fan out to before the verifier gives up on
-	// tracking it (0 means a sensible default). Beyond the cap the jump
-	// is treated as reaching every instruction with unknown state.
-	MaxTargets int
-
 	// RegistersOnly disables the whole-program machinery — the abstract
 	// store, affine register relations, and interprocedural call
 	// contexts — restoring the original per-register analysis. Used by

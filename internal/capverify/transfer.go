@@ -791,8 +791,7 @@ func (v *verifier) stepJump(out *stepOut, pc int, in state, inst isa.Inst) {
 		out.abyss = true
 		return
 	}
-	maxT := uint64(v.maxTargets)
-	if (tv.OffHi-tv.OffLo)/tv.Mod+1 > maxT {
+	if (tv.OffHi-tv.OffLo)/tv.Mod+1 > maxTargets {
 		out.abyss = true
 		return
 	}

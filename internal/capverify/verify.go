@@ -10,10 +10,9 @@ import (
 
 // verifier holds one analysis run.
 type verifier struct {
-	img        *Image
-	cfg        Config
-	maxTargets int
-	ths        []int64 // widening thresholds harvested from comparisons
+	img *Image
+	cfg Config
+	ths []int64 // widening thresholds harvested from comparisons
 
 	out    stepOut // step's result, refilled by every step
 	merged []check // the report pass's per-site merge of all contexts
@@ -23,6 +22,12 @@ const (
 	// widenAfter is how many times a program point is re-joined before
 	// the join switches to the widening operator.
 	widenAfter = 8
+
+	// maxTargets caps how many candidate targets an indirect jump with
+	// an inexact pointer may fan out to before the verifier gives up on
+	// tracking it: beyond the cap the jump is treated as reaching every
+	// instruction with unknown state.
+	maxTargets = 64
 
 	// maxSteps caps fixpoint iterations. Widening guarantees
 	// termination; the cap is a second line of defense for the fuzzer.
@@ -73,11 +78,7 @@ func VerifySource(name, src string, cfg Config) (*Report, error) {
 }
 
 func newVerifier(prog *asm.Program, cfg Config) *verifier {
-	mt := cfg.MaxTargets
-	if mt <= 0 {
-		mt = 64
-	}
-	v := &verifier{img: NewImage(prog, cfg), cfg: cfg, maxTargets: mt}
+	v := &verifier{img: NewImage(prog, cfg), cfg: cfg}
 	v.ths = collectThresholds(v.img)
 	return v
 }

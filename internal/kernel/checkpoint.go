@@ -76,21 +76,8 @@ type ThreadImage struct {
 // as ready (their in-flight memory operation has already committed
 // functionally).
 func (k *Kernel) Checkpoint() (*Checkpoint, error) {
-	cp := &Checkpoint{
-		RegionBase: k.regionBase,
-		RegionLog:  k.regionLog,
-		Segments:   make(map[uint64]uint, len(k.segments)),
-		Revoked:    make(map[uint64]bool, len(k.revoked)),
-		NextDomain: k.nextDomain,
-		Resident:   make([]PageImage, 0, k.M.Space.PT.Entries()),
-	}
-	for b, l := range k.segments {
-		cp.Segments[b] = l
-	}
-	for b := range k.revoked {
-		cp.Revoked[b] = true
-	}
-
+	cp := k.image()
+	cp.Resident = make([]PageImage, 0, k.M.Space.PT.Entries())
 	var walkErr error
 	k.M.Space.PT.Walk(func(page uint64, pte vm.PTE) bool {
 		img, err := k.readPage(page, pte.Frame)
@@ -104,11 +91,29 @@ func (k *Kernel) Checkpoint() (*Checkpoint, error) {
 	if walkErr != nil {
 		return nil, walkErr
 	}
-	for _, page := range k.M.Space.SwapPageList() {
-		pg, _ := k.M.Space.SwapPage(page)
+	k.M.Space.WalkSwap(func(page uint64, pg *mem.Page) {
 		cp.Swapped = append(cp.Swapped, PageImage{VAddr: page, Page: pg})
-	}
+	})
+	return cp, nil
+}
 
+// image returns an image of k without pages: the segment layout, the
+// revocations and every thread's architectural state, which base and
+// delta images alike hold in full (they are small).
+func (k *Kernel) image() *Checkpoint {
+	cp := &Checkpoint{
+		RegionBase: k.regionBase,
+		RegionLog:  k.regionLog,
+		Segments:   make(map[uint64]uint, len(k.segments)),
+		Revoked:    make(map[uint64]bool, len(k.revoked)),
+		NextDomain: k.nextDomain,
+	}
+	for b, l := range k.segments {
+		cp.Segments[b] = l
+	}
+	for b := range k.revoked {
+		cp.Revoked[b] = true
+	}
 	for _, t := range k.M.Threads() {
 		cp.Threads = append(cp.Threads, ThreadImage{
 			Domain:  t.Domain,
@@ -118,7 +123,18 @@ func (k *Kernel) Checkpoint() (*Checkpoint, error) {
 			Instret: t.Instret,
 		})
 	}
-	return cp, nil
+	return cp
+}
+
+// readPage captures one resident page: a snapshot of its storage page,
+// read through the physical plane (ECC heals correctable decay on the
+// way into the image) and shared with the memory, not copied.
+func (k *Kernel) readPage(page, frame uint64) (PageImage, error) {
+	pg, err := k.M.Space.Phys.Snapshot(frame)
+	if err != nil {
+		return PageImage{}, err
+	}
+	return PageImage{VAddr: page, Frame: frame, Page: pg}, nil
 }
 
 // Holds reports whether the image has words at vaddr onward, in pages

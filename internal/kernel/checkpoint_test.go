@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -261,40 +262,106 @@ func TestCheckpointHolds(t *testing.T) {
 }
 
 // checkpointAllocs bounds what a full capture allocates, whatever the
-// number of pages it holds: the image, its two metadata maps, the
-// resident page list, the page-table walk's callback and the swap
-// list. The pages themselves are shared with the memory, not copied.
-const checkpointAllocs = 6
+// number of pages it holds: the image with its metadata and thread
+// list (four objects) and the resident page list. The pages themselves
+// are shared with the memory, not copied.
+const checkpointAllocs = 5
 
-// BenchmarkCheckpoint times a full capture (Kernel.Checkpoint) of a
-// kernel with 512 mapped pages, each holding a word. It fails if a
-// capture allocates more than checkpointAllocs objects.
+// deltaAllocs bounds what a delta capture of BenchmarkCheckpoint's
+// footprint allocates: the image with its metadata and thread list
+// (four objects), the dirty-page list as it grows to 52 pages (seven
+// objects), the delta's page list, the mapped-page list and the capture
+// state. Nothing is allocated per mapped page, and the pages are shared
+// with the memory, not copied.
+const deltaAllocs = 14
+
+// checkpointPages is the mapped footprint of BenchmarkCheckpoint, and
+// deltaStride spaces its delta row's writes: 52 of the 512 pages, about
+// a tenth, are dirty at each delta capture.
+const (
+	checkpointPages = 512
+	deltaStride     = 10
+)
+
+// BenchmarkCheckpoint times a capture of a kernel with checkpointPages
+// mapped pages, each holding a word: a full capture (Kernel.Checkpoint)
+// and a delta (Kernel.CheckpointIncremental) after a write to every
+// deltaStride-th page. The delta row times the capture alone: the
+// writes, each cloning the page the previous capture shares, run with
+// the timer stopped. It fails if a full capture allocates more than
+// checkpointAllocs objects or a delta more than deltaAllocs.
 func BenchmarkCheckpoint(b *testing.B) {
 	k, err := New(machine.MMachine())
 	if err != nil {
 		b.Fatal(err)
 	}
-	seg, err := k.AllocSegment(512 * vm.PageSize)
+	seg, err := k.AllocSegment(checkpointPages * vm.PageSize)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for p := uint64(0); p < 512; p++ {
-		if err := k.M.Space.WriteWord(seg.Base()+p*vm.PageSize, word.FromInt(int64(p)+1)); err != nil {
-			b.Fatal(err)
+	write := func(stride, round int) {
+		for p := 0; p < checkpointPages; p += stride {
+			if err := k.M.Space.WriteWord(seg.Base()+uint64(p)*vm.PageSize, word.FromInt(int64(round*checkpointPages+p+1))); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
-	var cp *Checkpoint
-	if a := testing.AllocsPerRun(10, func() { cp, err = k.Checkpoint() }); err != nil || a > checkpointAllocs {
-		b.Fatalf("a capture allocates %v times (err %v), want at most %d", a, err, checkpointAllocs)
-	}
-	if len(cp.Resident) < 512 {
-		b.Fatalf("captured %d resident pages, want at least 512", len(cp.Resident))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.Checkpoint(); err != nil {
+	write(1, 0)
+	b.Run("full", func(b *testing.B) {
+		var cp *Checkpoint
+		if a := testing.AllocsPerRun(10, func() { cp, err = k.Checkpoint() }); err != nil || a > checkpointAllocs {
+			b.Fatalf("a capture allocates %v times (err %v), want at most %d", a, err, checkpointAllocs)
+		}
+		if len(cp.Resident) < checkpointPages {
+			b.Fatalf("captured %d resident pages, want at least %d", len(cp.Resident), checkpointPages)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := k.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("delta", func(b *testing.B) {
+		cp, st, err := k.CheckpointIncremental(nil)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		capture := func() {
+			if cp, st, err = k.CheckpointIncremental(st); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// The gate counts the capture's allocations alone, as
+		// testing.AllocsPerRun would, on one processor.
+		const rounds = 10
+		allocs := func() uint64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			var n uint64
+			for r := 1; r <= rounds; r++ {
+				write(deltaStride, r)
+				runtime.ReadMemStats(&before)
+				capture()
+				runtime.ReadMemStats(&after)
+				n += after.Mallocs - before.Mallocs
+			}
+			return n / rounds
+		}()
+		if allocs > deltaAllocs {
+			b.Fatalf("a delta capture allocates %d times, want at most %d", allocs, deltaAllocs)
+		}
+		if want := (checkpointPages + deltaStride - 1) / deltaStride; !cp.Delta || len(cp.Resident) != want {
+			b.Fatalf("delta capture holds %d pages (delta %v), want %d", len(cp.Resident), cp.Delta, want)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			write(deltaStride, rounds+1+i)
+			b.StartTimer()
+			capture()
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/machine"
@@ -111,9 +113,12 @@ func TestIncrementalChainDifferential(t *testing.T) {
 	}
 }
 
-// TestIncrementalDeltaCompleteness drives the mutations dirty bits
-// cannot see — swap round trips, backing-store scrubs, unmapped pages —
-// and checks each lands in the delta (or its tombstones).
+// TestIncrementalDeltaCompleteness drives the mutations a store's dirty
+// bit does not mark — swap round trips, backing-store scrubs, unmapped
+// pages, a freed page re-mapped onto its recycled frame — and checks
+// each lands in the delta (or its tombstones), that a swapped page
+// swapped in and out again unwritten does not, and that the chain
+// materializes to a full capture, page for page.
 func TestIncrementalDeltaCompleteness(t *testing.T) {
 	k := testKernel(t)
 	seg, err := k.AllocSegment(4 * vm.PageSize)
@@ -122,9 +127,19 @@ func TestIncrementalDeltaCompleteness(t *testing.T) {
 	}
 	base := seg.Addr()
 	s := k.M.Space
-	_, st, err := k.CheckpointIncremental(nil)
+	cp, st, err := k.CheckpointIncremental(nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	chain := []*Checkpoint{cp}
+	capture := func() *Checkpoint {
+		t.Helper()
+		cp, st, err = k.CheckpointIncremental(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, cp)
+		return cp
 	}
 
 	// Swap a page out: its contents move to the backing store.
@@ -134,21 +149,12 @@ func TestIncrementalDeltaCompleteness(t *testing.T) {
 	if err := s.SwapOut(base); err != nil {
 		t.Fatal(err)
 	}
-	cp, st, err := k.CheckpointIncremental(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp = capture()
 	page := base &^ uint64(vm.PageMask)
 	if len(cp.Swapped) != 1 || cp.Swapped[0].VAddr != page {
 		t.Fatalf("swap-out not in delta: %+v", cp.Swapped)
 	}
-	found := false
-	for _, p := range cp.Dropped {
-		if p == page {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(cp.Dropped, page) {
 		t.Fatalf("swapped-out page not tombstoned from residency: %v", cp.Dropped)
 	}
 
@@ -157,23 +163,31 @@ func TestIncrementalDeltaCompleteness(t *testing.T) {
 	if err := s.ZeroWords(base, base+64); err != nil {
 		t.Fatal(err)
 	}
-	cp, st, err = k.CheckpointIncremental(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp = capture()
 	if len(cp.Swapped) != 1 || cp.Swapped[0].VAddr != page || cp.Swapped[0].Page.Word(0).Int() != 0 {
 		t.Fatalf("swap scrub not in delta: %+v", cp.Swapped)
 	}
 
-	// Swap back in: the page is resident again (fresh mapping, clean
-	// PTE) and gone from the backing store.
+	// Swap in and out again with no write: the store holds the very page
+	// the previous generation holds, so nothing ships.
 	if err := s.SwapIn(base); err != nil {
 		t.Fatal(err)
 	}
-	cp, st, err = k.CheckpointIncremental(st)
-	if err != nil {
+	if err := s.SwapOut(base); err != nil {
 		t.Fatal(err)
 	}
+	cp = capture()
+	if len(cp.Resident) != 0 || len(cp.Swapped) != 0 || len(cp.Dropped) != 0 || len(cp.SwapDropped) != 0 {
+		t.Fatalf("unwritten swap round trip shipped: %d/%d pages, %d/%d tombstones",
+			len(cp.Resident), len(cp.Swapped), len(cp.Dropped), len(cp.SwapDropped))
+	}
+
+	// Swap back in: the page is resident again (a new translation) and
+	// gone from the backing store.
+	if err := s.SwapIn(base); err != nil {
+		t.Fatal(err)
+	}
+	cp = capture()
 	if len(cp.Resident) != 1 || cp.Resident[0].VAddr != page {
 		t.Fatalf("swap-in not in delta: %d resident pages", len(cp.Resident))
 	}
@@ -181,14 +195,47 @@ func TestIncrementalDeltaCompleteness(t *testing.T) {
 		t.Fatalf("swap-in not tombstoned from backing store: %v", cp.SwapDropped)
 	}
 
-	// Quiescent interval → empty delta.
-	cp, _, err = k.CheckpointIncremental(st)
-	if err != nil {
+	// Free a written page and map it again: the allocator hands back
+	// its own frame, zeroed, so page and frame match the previous
+	// capture and only the new translation's dirty bit tells.
+	next := page + vm.PageSize
+	if err := s.WriteWord(next, word.FromInt(22)); err != nil {
 		t.Fatal(err)
 	}
+	capture()
+	before, _ := s.PT.Lookup(next)
+	if _, err := s.UnmapRange(next, vm.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EnsureMapped(next, vm.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := s.PT.Lookup(next); after.Frame != before.Frame {
+		t.Fatalf("re-map took frame %#x, want the recycled %#x", after.Frame, before.Frame)
+	}
+	cp = capture()
+	if len(cp.Resident) != 1 || cp.Resident[0].VAddr != next || cp.Resident[0].Page.Word(0).Int() != 0 {
+		t.Fatalf("re-map onto a recycled frame not in delta: %+v", cp.Resident)
+	}
+
+	// Quiescent interval → empty delta.
+	cp = capture()
 	if len(cp.Resident) != 0 || len(cp.Swapped) != 0 || len(cp.Dropped) != 0 || len(cp.SwapDropped) != 0 {
 		t.Fatalf("quiescent delta not empty: %d/%d pages, %d/%d tombstones",
 			len(cp.Resident), len(cp.Swapped), len(cp.Dropped), len(cp.SwapDropped))
+	}
+
+	got, err := Materialize(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := k.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Resident, want.Resident) || !reflect.DeepEqual(got.Swapped, want.Swapped) {
+		t.Fatalf("chain materializes to %d resident and %d swapped pages unlike a full capture's %d and %d",
+			len(got.Resident), len(got.Swapped), len(want.Resident), len(want.Swapped))
 	}
 }
 

@@ -6,8 +6,8 @@ import "testing"
 // multicomputer must leave the entire fingerprint — cycles, machine,
 // cache, TLB and network counters, registers, memory — bit-identical
 // to the interpreter. The trip count crosses the translator's compile
-// threshold; nodes run compiled blocks in paced mode, one step per
-// cycle, so the cycle schedule is untouched.
+// threshold; the mesh steps each node one cycle at a time, and a Step
+// is one cycle on either tier, so the cycle schedule is untouched.
 func TestJITMatchesInterpreter(t *testing.T) {
 	_, base, baseMem := runCrossNode(t, crossNodeCase{name: "interp", trips: 200})
 	x, got, gotMem := runCrossNode(t, crossNodeCase{name: "jit", trips: 200, jit: true})

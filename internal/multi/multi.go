@@ -61,12 +61,12 @@ type Config struct {
 	// setting it.
 	Workers int
 	// JIT enables the check-eliding superblock translator on every
-	// node's machine (see internal/jit). Nodes run it in paced mode —
-	// one compiled step per cycle, so the cycle schedule and remote
-	// delivery order are untouched and results stay bit-identical to
-	// the interpreter. Off by default: the fault-injection campaigns
-	// corrupt state under the verifier's feet, so they keep the
-	// interpreter. Callers load programs through Node.K and then
+	// node's machine (see internal/jit). The mesh steps each node one
+	// cycle at a time, and a Step is one cycle on either tier, so the
+	// cycle schedule and remote delivery order are untouched and
+	// results stay bit-identical to the interpreter. Off by default:
+	// the fault-injection campaigns corrupt state under the verifier's
+	// feet, so they keep the interpreter. Callers load programs through Node.K and then
 	// register them with k.M.JITRegister. A node restored by
 	// auto-recovery or replaced by a migration keeps every registration
 	// whose code the restored image holds at the same address.
@@ -173,14 +173,11 @@ type System struct {
 	checkpoints uint64 // generations captured (recovery.checkpoints)
 	restores    uint64 // automatic recoveries performed (recovery.restores)
 
-	// Checkpoint state: the store (nil until the first capture unless
-	// Config.PersistDir opened it at boot) and the per-node incremental
-	// capture baselines. A nil entry in capStates forces the next
-	// generation to be a full base.
-	store      *persist.Store
-	capStates  []*kernel.CaptureState
-	persistGen uint64 // newest generation committed to the store
-	sinceBase  int    // deltas since the last base image
+	// Checkpoint state: the store and the saver that drives every
+	// node's chain into it, both nil until the first capture unless
+	// Config.PersistDir opened them at boot.
+	store *persist.Store
+	saver *persist.Saver
 
 	// Live-migration state (Config.MigrateAt). OnMigrate, when non-nil,
 	// runs just before the armed migration starts, with the wire link
@@ -262,12 +259,9 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen, err := st.MaxGen()
-		if err != nil {
+		if err := s.useStore(st); err != nil { // numbering resumes after a reboot
 			return nil, err
 		}
-		s.useStore(st)
-		s.persistGen = gen // numbering resumes after a reboot
 	}
 	if cfg.MigrateAt != 0 {
 		if cfg.MigrateNode < 0 || cfg.MigrateNode >= net.Nodes() {
@@ -282,14 +276,18 @@ func New(cfg Config) (*System, error) {
 // Config.PersistDir has not yet captured a generation.
 func (s *System) Store() *persist.Store { return s.store }
 
-// useStore installs the checkpoint store and publishes its metrics if a
-// registry is already attached.
-func (s *System) useStore(st *persist.Store) {
-	s.store = st
-	s.capStates = make([]*kernel.CaptureState, len(s.Nodes))
+// useStore installs the checkpoint store with its saver and publishes
+// its metrics if a registry is already attached.
+func (s *System) useStore(st *persist.Store) error {
+	sv, err := persist.NewSaver(st, s.cfg.PersistBaseEvery)
+	if err != nil {
+		return err
+	}
+	s.store, s.saver = st, sv
 	if s.reg != nil {
 		st.RegisterMetrics(s.reg, "persist")
 	}
+	return nil
 }
 
 // Stats returns a copy of the cross-node counters.
@@ -384,17 +382,12 @@ func (s *System) checkpointKeep() int {
 // checkpointAll commits one coordinated generation — every node's
 // kernel at the end of this cycle — to the checkpoint store, then prunes
 // the store to CheckpointKeep. Skipped while any node is dead: the set
-// would not be globally consistent. Capture reads memory through the
-// ECC plane (mem.ReadWords), so latent single-bit errors in the pages it
-// copies are healed on the way into the image.
-//
-// All nodes must capture the same kind, so the whole generation
-// re-bases when any node's baseline is missing or stale (first capture,
-// a Revive that swapped a kernel, a previous error) or the delta chain
-// reached PersistBaseEvery. On ANY error every baseline is dropped: the
-// failed generation never got a commit marker, so the next capture
-// starts a fresh base — dirty bits cleared by a failed capture are
-// swallowed by the full image, never lost.
+// would not be globally consistent. Capture snapshots each page through
+// the ECC plane (mem.Memory.Snapshot), so latent single-bit errors in
+// the pages it takes are healed on the way into the image. The saver
+// decides base or delta for the whole generation and re-bases after a
+// failed capture; a failed prune leaves the chains as they are, since
+// Prune never removes a base a retained generation replays from.
 func (s *System) checkpointAll() {
 	for _, d := range s.dead {
 		if d {
@@ -403,67 +396,19 @@ func (s *System) checkpointAll() {
 	}
 	if s.store == nil {
 		st, err := persist.OpenMemory(len(s.Nodes))
-		if err != nil {
+		if err != nil || s.useStore(st) != nil {
 			return
 		}
-		s.useStore(st)
 	}
-	full := s.sinceBase >= s.persistBaseEvery()-1
+	ks := make([]*kernel.Kernel, len(s.Nodes))
 	for i, n := range s.Nodes {
-		if !s.capStates[i].Matches(n.K) {
-			full = true
-		}
+		ks[i] = n.K
 	}
-	cps := make([]*kernel.Checkpoint, len(s.Nodes))
-	ncaps := make([]*kernel.CaptureState, len(s.Nodes))
-	for i, n := range s.Nodes {
-		prev := s.capStates[i]
-		if full {
-			prev = nil
-		}
-		cp, ncap, err := n.K.CheckpointIncremental(prev)
-		if err != nil {
-			s.resetCapStates() // e.g. uncorrectable memory: keep the older generations
-			return
-		}
-		cps[i] = cp
-		ncaps[i] = ncap
-	}
-	gen := s.persistGen + 1
-	if err := s.store.WriteGeneration(gen, s.persistGen, s.cycle, cps); err != nil {
-		s.resetCapStates()
-		return
-	}
-	copy(s.capStates, ncaps)
-	s.persistGen = gen
-	if full {
-		s.sinceBase = 0
-	} else {
-		s.sinceBase++
+	if _, err := s.saver.CaptureAll(ks, s.cycle); err != nil {
+		return // e.g. uncorrectable memory: keep the older generations
 	}
 	s.checkpoints++
-	// Retention is part of the generation commit. Prune never removes a
-	// base a retained delta still replays from.
-	if err := s.store.Prune(s.checkpointKeep()); err != nil {
-		s.resetCapStates() // store trouble: re-base defensively
-	}
-}
-
-// persistBaseEvery resolves Config.PersistBaseEvery.
-func (s *System) persistBaseEvery() int {
-	if s.cfg.PersistBaseEvery > 0 {
-		return s.cfg.PersistBaseEvery
-	}
-	return persist.DefaultBaseEvery
-}
-
-// resetCapStates drops every incremental baseline: the next generation
-// is a full base.
-func (s *System) resetCapStates() {
-	for i := range s.capStates {
-		s.capStates[i] = nil
-	}
-	s.sinceBase = 0
+	_ = s.store.Prune(s.checkpointKeep())
 }
 
 // CheckpointNow captures a coordinated generation immediately — the
@@ -506,9 +451,6 @@ func (s *System) recoverAll() bool {
 	if err != nil {
 		return false
 	}
-	// The restored kernels have fresh Spaces: every incremental baseline
-	// is stale, so the next generation re-bases.
-	s.resetCapStates()
 	// Rebuild every kernel before installing any: a node whose image
 	// fails to restore must not leave the others rewound to a cut the
 	// mesh never resumes from.
@@ -520,6 +462,8 @@ func (s *System) recoverAll() bool {
 		}
 		ks[i] = k
 	}
+	// The restored kernels have fresh Spaces, so the saver's next
+	// generation re-bases.
 	for i, k := range ks {
 		s.installKernel(i, k, cps[i])
 	}

@@ -45,7 +45,7 @@ func (r *recordingFS) remove(name string) error {
 }
 
 // TestEveryCrashPointRecovers drives a 2-node store the way the
-// multicomputer does — WriteGeneration, then Prune(2), six generations
+// multicomputer does — Saver.CaptureAll, then Prune(2), six generations
 // with a base every third — then crashes it after every prefix of its
 // file operations, prunes included. Before the first commit marker a
 // load must fail with a typed error; after it, the load must return the
@@ -60,30 +60,23 @@ func TestEveryCrashPointRecovers(t *testing.T) {
 	k0, _ := persistKernel(t)
 	k1, _ := persistKernel(t)
 	ks := []*kernel.Kernel{k0, k1}
-	caps := make([]*kernel.CaptureState, len(ks))
+	sv, err := NewSaver(st, baseEvery)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := map[uint64][]*kernel.Checkpoint{}
-	var cycle uint64
 	for gen := uint64(1); gen <= gens; gen++ {
-		cps := make([]*kernel.Checkpoint, len(ks))
-		for i, k := range ks {
+		var cycle uint64
+		for _, k := range ks {
 			cycle = k.Run(60)
-			prev := caps[i]
-			if (gen-1)%baseEvery == 0 {
-				prev = nil
-			}
-			cp, ncap, err := k.CheckpointIncremental(prev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cps[i], caps[i] = cp, ncap
 			full, err := k.Checkpoint()
 			if err != nil {
 				t.Fatal(err)
 			}
 			want[gen] = append(want[gen], full)
 		}
-		if err := st.WriteGeneration(gen, gen-1, cycle, cps); err != nil {
-			t.Fatal(err)
+		if got, err := sv.CaptureAll(ks, cycle); err != nil || got != gen {
+			t.Fatalf("CaptureAll = generation %d, %v; want %d", got, err, gen)
 		}
 		if err := st.Prune(keep); err != nil {
 			t.Fatal(err)

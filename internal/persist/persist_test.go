@@ -433,6 +433,51 @@ func TestSaverResumesNumbering(t *testing.T) {
 	}
 }
 
+// TestSaverRebasesOnStaleKernel: one generation is one kind, so a
+// kernel whose baseline belongs to another Space (a restored, migrated
+// or revived node) re-bases every node's chain, and the next generation
+// is a delta again.
+func TestSaverRebasesOnStaleKernel(t *testing.T) {
+	st, err := OpenMemory(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := NewSaver(st, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0, _ := persistKernel(t)
+	k1, _ := persistKernel(t)
+	if _, err := sv.CaptureAll([]*kernel.Kernel{k0}, 0); err == nil {
+		t.Fatal("CaptureAll accepted one kernel for a 2-node store")
+	}
+	replaced, _ := persistKernel(t)
+	for i, step := range []struct {
+		ks    []*kernel.Kernel
+		delta bool
+	}{
+		{[]*kernel.Kernel{k0, k1}, false},
+		{[]*kernel.Kernel{k0, k1}, true},
+		{[]*kernel.Kernel{k0, replaced}, false},
+		{[]*kernel.Kernel{k0, replaced}, true},
+	} {
+		for _, k := range step.ks {
+			k.Run(30)
+		}
+		gen, err := sv.CaptureAll(step.ks, uint64(30*(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cps, desc, err := st.LoadImages(gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if desc.Delta != step.delta || cps[0].Delta != step.delta || cps[1].Delta != step.delta {
+			t.Fatalf("generation %d: delta %v, want %v", gen, desc.Delta, step.delta)
+		}
+	}
+}
+
 func TestRestoreNewestConvenience(t *testing.T) {
 	dir := t.TempDir()
 	st, thRef, gens := saveChain(t, dir, 4, 2)

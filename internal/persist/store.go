@@ -558,14 +558,18 @@ func (st *Store) Prune(keep int) error {
 	return nil
 }
 
-// --- single-kernel convenience: Saver and RestoreNewest ----------------
+// --- Saver and RestoreNewest ----------------------------------------
 
-// Saver drives one kernel's incremental chain into a store: each
-// Capture writes the next generation, re-basing every baseEvery
-// generations to bound chain length.
+// Saver drives the incremental chains of a store's kernels, one per
+// node, and is the one place that decides when a chain re-bases. Each
+// capture writes the next generation: a base image of every kernel
+// when one is due (every baseEvery generations) or when any kernel's
+// baseline is missing or bound to another Space (a first capture, a
+// restored, migrated or revived kernel, an earlier failed capture),
+// else a delta of every kernel against its previous capture.
 type Saver struct {
 	st        *Store
-	cap       *kernel.CaptureState
+	caps      []*kernel.CaptureState // per node; nil forces a base
 	gen       uint64
 	sinceBase int
 	baseEvery int
@@ -579,9 +583,6 @@ const DefaultBaseEvery = 8
 // newest generation) a saver. baseEvery <= 0 selects DefaultBaseEvery;
 // baseEvery == 1 writes only base images.
 func NewSaver(st *Store, baseEvery int) (*Saver, error) {
-	if st.nodes != 1 {
-		return nil, fmt.Errorf("persist: Saver drives single-kernel stores; this store expects %d nodes", st.nodes)
-	}
 	if baseEvery <= 0 {
 		baseEvery = DefaultBaseEvery
 	}
@@ -589,40 +590,56 @@ func NewSaver(st *Store, baseEvery int) (*Saver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Saver{st: st, gen: gen, baseEvery: baseEvery}, nil
+	return &Saver{st: st, caps: make([]*kernel.CaptureState, st.nodes), gen: gen, baseEvery: baseEvery}, nil
 }
 
-// Capture writes the next generation of k's chain and returns its
-// number. Call with the machine quiescent. On any error the chain
-// re-bases at the next capture — a failed write never leaves a delta
-// whose baseline was lost.
+// Capture writes the next generation of a single-kernel store's chain
+// and returns its number; see CaptureAll.
 func (sv *Saver) Capture(k *kernel.Kernel, cycle uint64) (uint64, error) {
-	full := sv.cap == nil || sv.sinceBase >= sv.baseEvery-1
-	var prev *kernel.CaptureState
-	if !full {
-		prev = sv.cap
+	return sv.CaptureAll([]*kernel.Kernel{k}, cycle)
+}
+
+// CaptureAll writes the next generation, one image per kernel in node
+// order, all of one kind, and returns its number. Call with every
+// machine quiescent. On any error every baseline is dropped: the failed
+// generation never got a commit marker, so the next capture is a base,
+// and dirty bits a failed capture cleared land in it, never lost.
+func (sv *Saver) CaptureAll(ks []*kernel.Kernel, cycle uint64) (uint64, error) {
+	if len(ks) != len(sv.caps) {
+		return 0, fmt.Errorf("persist: %d kernels for a store of %d nodes", len(ks), len(sv.caps))
 	}
-	cp, ncap, err := k.CheckpointIncremental(prev)
-	if err != nil {
-		sv.cap = nil
-		return 0, err
+	full := sv.sinceBase >= sv.baseEvery-1
+	for i, k := range ks {
+		full = full || !sv.caps[i].Matches(k)
+	}
+	cps := make([]*kernel.Checkpoint, len(ks))
+	for i, k := range ks {
+		prev := sv.caps[i]
+		if full {
+			prev = nil
+		}
+		cp, ncap, err := k.CheckpointIncremental(prev)
+		if err != nil {
+			clear(sv.caps)
+			return 0, err
+		}
+		cps[i], sv.caps[i] = cp, ncap
 	}
 	gen := sv.gen + 1
-	if err := sv.st.WriteGeneration(gen, sv.gen, cycle, []*kernel.Checkpoint{cp}); err != nil {
-		sv.cap = nil
+	if err := sv.st.WriteGeneration(gen, sv.gen, cycle, cps); err != nil {
+		clear(sv.caps)
 		return 0, err
 	}
-	if cp.Delta {
-		sv.sinceBase++
-	} else {
+	if full {
 		sv.sinceBase = 0
+	} else {
+		sv.sinceBase++
 	}
-	sv.cap = ncap
 	sv.gen = gen
 	return gen, nil
 }
 
-// Gen returns the last generation Capture committed.
+// Gen returns the last generation the saver committed.
 func (sv *Saver) Gen() uint64 { return sv.gen }
 
 // RestoreNewest rebuilds a kernel from the store's newest intact

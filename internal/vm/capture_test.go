@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/word"
 )
 
@@ -43,10 +45,10 @@ func TestDirtyObserveAndClear(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := s.DirtyPages(true); !containsPage(d, page) {
+	if d := s.DirtyPages(); !containsPage(d, page) {
 		t.Fatalf("first capture: dirty pages %v missing %#x", d, page)
 	}
-	if d := s.DirtyPages(true); len(d) != 0 {
+	if d := s.DirtyPages(); len(d) != 0 {
 		t.Fatalf("clearing pass left dirty pages %v", d)
 	}
 	// The store racing the next interval: with the stale hint this would
@@ -54,126 +56,103 @@ func TestDirtyObserveAndClear(t *testing.T) {
 	if err := s.WriteWord(page+8, word.FromInt(9)); err != nil {
 		t.Fatal(err)
 	}
-	if d := s.DirtyPages(true); !containsPage(d, page) {
+	if d := s.DirtyPages(); !containsPage(d, page) {
 		t.Fatalf("post-capture store dropped: dirty pages %v missing %#x", d, page)
 	}
 }
 
-// TestDirtyPagesNonClearing checks the observe-only mode leaves the
-// bits (and subsequent collections) intact.
-func TestDirtyPagesNonClearing(t *testing.T) {
+// TestDirtyNewTranslations: every new translation starts dirty, so the
+// next DirtyPages reports it with nothing recorded beside the bit — a
+// demand map, a swap-in, and a freed page re-mapped onto its own
+// recycled frame, which keeps page and frame and changes only the
+// contents.
+func TestDirtyNewTranslations(t *testing.T) {
 	s := captureSpace(t)
-	const page = 0x9000
-	if err := s.EnsureMapped(page, PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteWord(page, word.FromInt(1)); err != nil {
-		t.Fatal(err)
-	}
-	if d := s.DirtyPages(false); !containsPage(d, page) {
-		t.Fatalf("observe pass: %v missing %#x", d, page)
-	}
-	if d := s.DirtyPages(true); !containsPage(d, page) {
-		t.Fatalf("bits were cleared by the observe-only pass: %v", d)
-	}
-}
-
-// TestCaptureTracking covers the mutations dirty bits cannot see: fresh
-// mappings and backing-store writes.
-func TestCaptureTracking(t *testing.T) {
-	s := captureSpace(t)
-	s.StartCaptureTracking()
 	const pa, pb = 0x10000, 0x20000
-	if err := s.EnsureMapped(pa, PageSize); err != nil {
-		t.Fatal(err)
+	for _, p := range []uint64{pa, pb} {
+		if err := s.EnsureMapped(p, PageSize); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.EnsureMapped(pb, PageSize); err != nil {
-		t.Fatal(err)
-	}
-	fresh, _ := s.DrainCaptureTouched()
-	if !containsPage(fresh, pa) || !containsPage(fresh, pb) {
-		t.Fatalf("fresh mappings %v missing %#x/%#x", fresh, pa, pb)
+	if d := s.DirtyPages(); !slices.Equal(d, []uint64{pa, pb}) {
+		t.Fatalf("after demand maps: dirty pages %#x, want %#x and %#x", d, pa, pb)
 	}
 
-	// Swap-out mutates the backing store; swap-in is a fresh mapping.
 	if err := s.SwapOut(pa); err != nil {
 		t.Fatal(err)
 	}
-	fresh, touched := s.DrainCaptureTouched()
-	if !containsPage(touched, pa) {
-		t.Fatalf("swap-out not tracked: %v", touched)
-	}
-	if len(fresh) != 0 {
-		t.Fatalf("unexpected fresh mappings %v", fresh)
-	}
-	// ZeroWords scrubbing a swapped page is a content change with no
-	// resident dirty bit anywhere.
-	if err := s.ZeroWords(pa, pa+64); err != nil {
-		t.Fatal(err)
-	}
-	_, touched = s.DrainCaptureTouched()
-	if !containsPage(touched, pa) {
-		t.Fatalf("swapped-page scrub not tracked: %v", touched)
+	if d := s.DirtyPages(); len(d) != 0 {
+		t.Fatalf("after swap-out: dirty pages %#x, want none", d)
 	}
 	if err := s.SwapIn(pa); err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ = s.DrainCaptureTouched()
-	if !containsPage(fresh, pa) {
-		t.Fatalf("swap-in not tracked as fresh mapping: %v", fresh)
+	if d := s.DirtyPages(); !slices.Equal(d, []uint64{pa}) {
+		t.Fatalf("after swap-in: dirty pages %#x, want %#x", d, pa)
 	}
 
-	// A re-map after a free reuses a frame with zeroed contents and a
-	// clean PTE — only the fresh-mapping set witnesses it.
+	if err := s.WriteWord(pb, word.FromInt(5)); err != nil {
+		t.Fatal(err)
+	}
+	s.DirtyPages()
+	before, _ := s.PT.Lookup(pb)
 	if _, err := s.UnmapRange(pb, PageSize); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EnsureMapped(pb, PageSize); err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ = s.DrainCaptureTouched()
-	if !containsPage(fresh, pb) {
-		t.Fatalf("re-map not tracked: %v", fresh)
+	if after, _ := s.PT.Lookup(pb); after.Frame != before.Frame {
+		t.Fatalf("re-map took frame %#x, want the recycled %#x", after.Frame, before.Frame)
 	}
-
-	if err := s.RestoreSwapPage(0x30000, nil); err != nil { // a page of zeros
-		t.Fatal(err)
-	}
-	_, touched = s.DrainCaptureTouched()
-	if !containsPage(touched, 0x30000) {
-		t.Fatalf("swap restore not tracked: %v", touched)
+	if d := s.DirtyPages(); !slices.Equal(d, []uint64{pb}) {
+		t.Fatalf("after re-map: dirty pages %#x, want %#x", d, pb)
 	}
 }
 
-// TestSwapPageAccessors exercises the per-page backing-store views.
+// swapStore returns the backing store as WalkSwap shows it.
+func swapStore(s *Space) (pages []uint64, pgs []*mem.Page) {
+	s.WalkSwap(func(page uint64, pg *mem.Page) {
+		pages, pgs = append(pages, page), append(pgs, pg)
+	})
+	return pages, pgs
+}
+
+// TestSwapPageAccessors exercises the backing-store walk: pages in
+// ascending order whatever order they were stored in, each the stored
+// page itself.
 func TestSwapPageAccessors(t *testing.T) {
 	s := captureSpace(t)
-	const page = 0x50000
-	if err := s.EnsureMapped(page, PageSize); err != nil {
-		t.Fatal(err)
+	const page, low = 0x50000, 0x30000
+	for _, p := range []uint64{page, low} {
+		if err := s.EnsureMapped(p, PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteWord(p+16, word.FromInt(42)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SwapOut(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.WriteWord(page+16, word.FromInt(42)); err != nil {
-		t.Fatal(err)
+	pages, pgs := swapStore(s)
+	if !slices.Equal(pages, []uint64{low, page}) {
+		t.Fatalf("WalkSwap pages = %#x, want %#x then %#x", pages, low, page)
 	}
-	if err := s.SwapOut(page); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.SwapPageList(); len(got) != 1 || got[0] != page {
-		t.Fatalf("SwapPageList = %v", got)
-	}
-	pg, ok := s.SwapPage(page + 24) // any address within the page
-	if !ok || pg.Word(2).Int() != 42 {
-		t.Fatalf("SwapPage = %v, %v", pg.Word(2), ok)
+	pg := pgs[1]
+	if pg.Word(2).Int() != 42 {
+		t.Fatalf("stored word = %v, want 42", pg.Word(2))
 	}
 	// Scrubbing the swapped page replaces it in the store: a page handed
 	// out earlier keeps its words.
 	if err := s.ZeroWords(page, page+PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if now, _ := s.SwapPage(page); now.Word(2).Int() != 0 || pg.Word(2).Int() != 42 {
-		t.Fatalf("after ZeroWords: stored word %v, earlier page's word %v", now.Word(2), pg.Word(2))
+	if _, now := swapStore(s); now[1] == pg || now[1].Word(2).Int() != 0 || pg.Word(2).Int() != 42 {
+		t.Fatalf("after ZeroWords: stored word %v, earlier page's word %v", now[1].Word(2), pg.Word(2))
 	}
-	if _, ok := s.SwapPage(0x99000); ok {
-		t.Fatal("SwapPage of absent page reported ok")
+	s.DropSwapped(low + 24) // any address within the page
+	if pages, _ := swapStore(s); !slices.Equal(pages, []uint64{page}) {
+		t.Fatalf("after DropSwapped: WalkSwap pages = %#x, want %#x", pages, page)
 	}
 }

@@ -67,8 +67,11 @@ func NewPageTable() *PageTable {
 func vpnOf(vaddr uint64) uint64 { return vaddr >> PageShift }
 
 // Map installs a translation from the page containing vaddr to the
-// physical frame at frame (frame must be page aligned). Remapping an
-// existing page overwrites it, dirty bit included.
+// physical frame at frame (frame must be page aligned), overwriting any
+// earlier one. A new translation starts dirty: whatever the frame holds
+// is new to every checkpoint taken before it, so the next incremental
+// capture ships the page (a demand map, a swap-in, a re-map onto a
+// recycled frame) with no record beside the bit.
 func (pt *PageTable) Map(vaddr, frame uint64) error {
 	if frame&PageMask != 0 {
 		return fmt.Errorf("vm: frame %#x not page aligned", frame)
@@ -78,7 +81,7 @@ func (pt *PageTable) Map(vaddr, frame uint64) error {
 		i, _ := slices.BinarySearch(pt.vpns, vpn)
 		pt.vpns = slices.Insert(pt.vpns, i, vpn)
 	}
-	pt.ptes[vpn] = PTE{Frame: frame, Valid: true}
+	pt.ptes[vpn] = PTE{Frame: frame, Valid: true, Dirty: true}
 	return nil
 }
 

@@ -57,7 +57,7 @@ func (pt *radixTable) Map(vaddr, frame uint64) {
 	if !pte.Valid {
 		pt.entries++
 	}
-	*pte = PTE{Frame: frame, Valid: true}
+	*pte = PTE{Frame: frame, Valid: true, Dirty: true}
 }
 
 func (pt *radixTable) lookup(vaddr uint64) *PTE {
@@ -123,14 +123,12 @@ func (pt *radixTable) Walk(fn func(page uint64, pte PTE) bool) {
 	pt.walk(pt.root, 0, 0, func(page uint64, pte *PTE) bool { return fn(page, *pte) })
 }
 
-func (pt *radixTable) CollectDirty(clear bool) []uint64 {
+func (pt *radixTable) CollectDirty() []uint64 {
 	var pages []uint64
 	pt.walk(pt.root, 0, 0, func(page uint64, pte *PTE) bool {
 		if pte.Dirty {
 			pages = append(pages, page)
-			if clear {
-				pte.Dirty = false
-			}
+			pte.Dirty = false
 		}
 		return true
 	})
@@ -182,9 +180,8 @@ func TestPageTableMatchesRadixOracle(t *testing.T) {
 					t.Fatalf("seed %d step %d: Lookup(%#x) = %+v %v, oracle %+v %v", seed, step, va, got, gok, want, wok)
 				}
 			case 5:
-				clear := rng.Intn(2) == 0
-				if got, want := pt.CollectDirty(clear), oracle.CollectDirty(clear); !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d: CollectDirty(%v) = %#x, oracle %#x", seed, step, clear, got, want)
+				if got, want := pt.CollectDirty(), oracle.CollectDirty(); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: CollectDirty = %#x, oracle %#x", seed, step, got, want)
 				}
 			case 6:
 				stop := rng.Intn(oracle.entries + 1)

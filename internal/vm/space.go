@@ -36,18 +36,8 @@ type Space struct {
 	OnUnmap func(vaddr, size uint64)
 
 	stats     SpaceStats
-	swap      map[uint64]*mem.Page
+	swap      []swapEntry // the backing store, ascending by page
 	swapStats SwapStats
-
-	// Incremental-checkpoint mutation tracking (capture.go): armed by
-	// StartCaptureTracking, drained at each capture barrier. freshMaps
-	// records pages newly entered into the page table (their PTE starts
-	// clean even when the frame's contents are new); touchedSwap records
-	// backing-store pages whose contents changed (swap-out, restore,
-	// scrub) — mutations no resident dirty bit can witness.
-	track       bool
-	freshMaps   map[uint64]struct{}
-	touchedSwap map[uint64]struct{}
 
 	// tc is a small direct-mapped translation micro-cache (indexed by
 	// low VPN bits): repeated references to recently translated pages —
@@ -74,8 +64,8 @@ type tcEntry struct {
 	ok    bool
 	// dirty records that PT.SetDirty already ran for this page under
 	// this gen; stores can then skip the page-table lookup. The PT never
-	// clears a dirty bit while the page stays mapped (only a re-Map
-	// after an unmap does, and unmapping bumps gen).
+	// clears a dirty bit while the page stays mapped (a re-Map sets it,
+	// and only a capture's DirtyPages clears it, dropping these hints).
 	dirty bool
 }
 
@@ -190,7 +180,6 @@ func (s *Space) EnsureMapped(vaddr, size uint64) error {
 			if err := s.PT.Map(page, frame); err != nil {
 				return err
 			}
-			s.trackMap(page)
 			s.stats.DemandMaps++
 		}
 		if page == last {
@@ -231,8 +220,9 @@ func (s *Space) UnmapRange(vaddr, size uint64) (int, error) {
 
 // setDirtyFast marks the page containing vaddr dirty, skipping the
 // page-table lookup when the micro-cache proves it already ran for
-// this page: the PT never clears a dirty bit while a page stays mapped,
-// and any unmap/remap bumps the TLB generation the entry checks.
+// this page: the PT never clears a dirty bit while a page stays mapped
+// (DirtyPages drops the hints when it does), and any unmap bumps the
+// TLB generation the entry checks.
 func (s *Space) setDirtyFast(vaddr uint64) {
 	vpn := vpnOf(vaddr)
 	e := &s.tc[vpn&tcMask]

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/telemetry"
@@ -21,6 +23,10 @@ import (
 // holds the physical memory's own storage pages (mem.Page): a swap-out
 // snapshots the frame's page and a swap-in adopts it, so neither copies
 // the words, and a checkpoint shares the stored pages the same way.
+// Nothing writes a stored page in place — ZeroWords stores a cleared
+// copy — so a stored page is what it was when it was stored, and an
+// incremental capture tells a changed one by its identity alone. The
+// store is kept in page order, so it is walked without sorting.
 
 // A page is one storage page of physical memory, so a frame's snapshot
 // is the whole page (this fails to compile if the sizes ever differ).
@@ -32,18 +38,46 @@ type SwapStats struct {
 	SwapIns  uint64
 }
 
-// EnsureSwap lazily creates the backing store.
-func (s *Space) ensureSwap() {
-	if s.swap == nil {
-		s.swap = make(map[uint64]*mem.Page)
+// swapEntry is one backing-store page; a nil pg is a page of untagged
+// zeros.
+type swapEntry struct {
+	page uint64
+	pg   *mem.Page
+}
+
+// swapIndex returns where the page containing vaddr sits, or would
+// sit, in the backing store, and whether it is there.
+func (s *Space) swapIndex(vaddr uint64) (int, bool) {
+	return slices.BinarySearchFunc(s.swap, vaddr&^uint64(PageMask), func(e swapEntry, page uint64) int {
+		return cmp.Compare(e.page, page)
+	})
+}
+
+// storeSwap puts pg in the backing store as page, replacing any copy
+// already there.
+func (s *Space) storeSwap(page uint64, pg *mem.Page) {
+	i, ok := s.swapIndex(page)
+	if ok {
+		s.swap[i].pg = pg
+		return
 	}
+	s.swap = slices.Insert(s.swap, i, swapEntry{page: page, pg: pg})
 }
 
 // Swapped reports whether the page containing vaddr is in the backing
 // store.
 func (s *Space) Swapped(vaddr uint64) bool {
-	_, ok := s.swap[vaddr&^uint64(PageMask)]
+	_, ok := s.swapIndex(vaddr)
 	return ok
+}
+
+// WalkSwap visits every backing-store page in ascending page order; fn
+// receives the page's base address and the stored page, shared, not
+// copied. fn must not change the backing store.
+func (s *Space) WalkSwap(fn func(page uint64, pg *mem.Page)) {
+	for _, e := range s.swap {
+		fn(e.page, e.pg)
+	}
 }
 
 // SwappedPages returns the number of pages in the backing store.
@@ -60,13 +94,11 @@ func (s *Space) SwapOut(vaddr uint64) error {
 	if !ok {
 		return fmt.Errorf("vm: swap-out of non-resident page %#x", page)
 	}
-	s.ensureSwap()
 	pg, err := s.Phys.Snapshot(pte.Frame)
 	if err != nil {
 		return err
 	}
-	s.swap[page] = pg
-	s.trackSwap(page)
+	s.storeSwap(page, pg)
 	s.PT.Unmap(page)
 	s.TLB.Invalidate(page)
 	if err := s.Frames.Release(pte.Frame); err != nil {
@@ -85,10 +117,11 @@ func (s *Space) SwapOut(vaddr uint64) error {
 // (evicting another page if necessary).
 func (s *Space) SwapIn(vaddr uint64) error {
 	page := vaddr &^ uint64(PageMask)
-	pg, ok := s.swap[page]
+	i, ok := s.swapIndex(page)
 	if !ok {
 		return fmt.Errorf("vm: swap-in of page %#x not in backing store", page)
 	}
+	pg := s.swap[i].pg
 	frame, err := s.Frames.Alloc()
 	if err != nil {
 		return fmt.Errorf("vm: swap-in of %#x: %w", page, err)
@@ -99,8 +132,7 @@ func (s *Space) SwapIn(vaddr uint64) error {
 	if err := s.PT.Map(page, frame); err != nil {
 		return err
 	}
-	s.trackMap(page)
-	delete(s.swap, page)
+	s.swap = slices.Delete(s.swap, i, i+1)
 	s.swapStats.SwapIns++
 	if s.Tracer != nil && s.Tracer.Enabled(telemetry.EvSwapIn) {
 		s.Tracer.Emit(telemetry.Event{Cycle: s.cycle(), Kind: telemetry.EvSwapIn,
@@ -112,17 +144,18 @@ func (s *Space) SwapIn(vaddr uint64) error {
 // DropSwapped discards any backing-store copy of the page containing
 // vaddr (used when the segment owning it is freed).
 func (s *Space) DropSwapped(vaddr uint64) {
-	delete(s.swap, vaddr&^uint64(PageMask))
+	if i, ok := s.swapIndex(vaddr); ok {
+		s.swap = slices.Delete(s.swap, i, i+1)
+	}
 }
 
 // ResidentPages returns the base addresses of all mapped pages,
 // ascending.
 func (s *Space) ResidentPages() []uint64 {
-	pages := make([]uint64, 0, s.PT.Entries())
-	s.PT.Walk(func(page uint64, _ PTE) bool {
-		pages = append(pages, page)
-		return true
-	})
+	pages := make([]uint64, len(s.PT.vpns))
+	for i, vpn := range s.PT.vpns {
+		pages[i] = vpn << PageShift
+	}
 	return pages
 }
 
@@ -143,9 +176,8 @@ func (s *Space) ZeroWords(lo, hi uint64) error {
 		if phi > hi {
 			phi = hi
 		}
-		if pg, ok := s.swap[page]; ok {
-			s.swap[page] = pg.Cleared(int(plo-page)/word.BytesPerWord, int(phi-page)/word.BytesPerWord)
-			s.trackSwap(page)
+		if i, ok := s.swapIndex(page); ok {
+			s.swap[i].pg = s.swap[i].pg.Cleared(int(plo-page)/word.BytesPerWord, int(phi-page)/word.BytesPerWord)
 			continue
 		}
 		if _, ok := s.PT.Lookup(page); !ok {
@@ -168,8 +200,6 @@ func (s *Space) RestoreSwapPage(page uint64, pg *mem.Page) error {
 	if page&uint64(PageMask) != 0 {
 		return fmt.Errorf("vm: swap restore of unaligned page %#x", page)
 	}
-	s.ensureSwap()
-	s.swap[page] = pg
-	s.trackSwap(page)
+	s.storeSwap(page, pg)
 	return nil
 }

@@ -80,6 +80,10 @@ func TestPageTableRemapOverwrites(t *testing.T) {
 func TestPageTableDirty(t *testing.T) {
 	pt := NewPageTable()
 	pt.Map(0x1000, 0x2000)
+	if pte, _ := pt.Lookup(0x1000); !pte.Dirty {
+		t.Errorf("pte = %+v after Map, want dirty: a new translation starts dirty", pte)
+	}
+	pt.CollectDirty()
 	pt.SetDirty(0x1008)
 	if pte, _ := pt.Lookup(0x1000); !pte.Dirty {
 		t.Errorf("pte = %+v, want dirty", pte)
